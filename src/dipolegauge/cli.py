@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,8 @@ from .polarization import (
 )
 
 SCHEMA_VERSION = 1
+# Largest figure-of-merit grid dicke-scan accepts; each point is a full ground-state solve.
+MAX_GRID_POINTS = 10_000
 
 
 class CliError(Exception):
@@ -62,7 +65,7 @@ def _fmt(value) -> str:
 def _emit(args, payload: dict | list, csv_columns=None, csv_rows=None) -> None:
     """Write the report as JSON, or as CSV when columns are provided."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         if csv_columns is None:
             raise CliError("csv output is not available for this subcommand")
@@ -104,20 +107,33 @@ def _cutoff_from_args(args) -> float:
     return value
 
 
-def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: a number that is neither infinite nor NaN."""
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-        else:
-            raise ValueError
+        value = float(text)
     except ValueError:
-        raise CliError(f"invalid grid {text!r}; expected VALUE or START:STOP:STEP") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_grid(text: str) -> list[float]:
+    try:
+        numbers = [_finite_float(part) for part in text.split(":")]
+    except argparse.ArgumentTypeError:
+        numbers = []
+    if len(numbers) == 1:
+        return numbers
+    if len(numbers) != 3:
+        raise CliError(f"invalid grid {text!r}; expected VALUE or START:STOP:STEP")
+    start, stop, step = numbers
     if step <= 0.0 or stop < start:
         raise CliError(f"invalid grid {text!r}; need step > 0 and stop >= start")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if not steps <= MAX_GRID_POINTS - 1:  # before the list is built; inf when the span overflows
+        raise CliError(f"invalid grid {text!r}; more than {MAX_GRID_POINTS} points")
+    count = int(round(steps))
     # rounding keeps grid values like 0.1*3 from printing as 0.30000000000000004
     values = [round(start + i * step, 12) for i in range(count + 1)]
     if values[-1] > stop + 1e-9 * step:
@@ -206,7 +222,7 @@ def cmd_dicke_scan(args) -> int:
         for row in rows
     ]
     _emit(args, payload, csv_columns=list(SCAN_CSV_COLUMNS), csv_rows=csv_rows)
-    return 0
+    return 1 if any(row.error is not None for row in rows) else 0
 
 
 def cmd_polarization(args) -> int:
@@ -291,8 +307,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cutoff(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kM", type=float, help="cutoff wavenumber (1/m)")
-    parser.add_argument("--kM-inv-bohr", dest="kM_inv_bohr", type=float, help="cutoff wavenumber in units of 1/a0")
+    parser.add_argument("--kM", type=_finite_float, help="cutoff wavenumber (1/m)")
+    parser.add_argument("--kM-inv-bohr", dest="kM_inv_bohr", type=_finite_float, help="cutoff wavenumber in units of 1/a0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutoff-window", help="admissibility window for the cutoff wavenumber")
     _add_cutoff(p)
     p.add_argument("--species", help="species name fixing the radiation wavenumber")
-    p.add_argument("--k-radiation", dest="k_radiation", type=float, help="radiation wavenumber (1/m)")
+    p.add_argument("--k-radiation", dest="k_radiation", type=_finite_float, help="radiation wavenumber (1/m)")
     p.add_argument("--registry", help="species registry file (CSV or JSON)")
-    p.add_argument("--lower-threshold", type=float, default=0.01)
-    p.add_argument("--upper-threshold", type=float, default=0.15)
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance for the shift check")
+    p.add_argument("--lower-threshold", type=_finite_float, default=0.01)
+    p.add_argument("--upper-threshold", type=_finite_float, default=0.15)
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="quadrature tolerance for the shift check")
     _add_common(p)
     p.set_defaults(func=cmd_cutoff_window)
 
@@ -322,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="atom count")
     p.add_argument("--F", required=True, help="figure-of-merit grid VALUE or START:STOP:STEP")
     p.add_argument("--resonant", action="store_true", help="mode frequency equal to the atomic one")
-    p.add_argument("--omega", type=float, help="mode frequency (rad/s)")
-    p.add_argument("--omega-A", dest="omega_A", type=float, help="atomic frequency (rad/s)")
+    p.add_argument("--omega", type=_finite_float, help="mode frequency (rad/s)")
+    p.add_argument("--omega-A", dest="omega_A", type=_finite_float, help="atomic frequency (rad/s)")
     p.add_argument("--rwa", action="store_true", help="number-conserving coupling")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid points")
     _add_common(p)
@@ -331,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarization", help="kernel and envelope values")
     _add_cutoff(p)
-    p.add_argument("--r", type=float, help="distance (m)")
+    p.add_argument("--r", type=_finite_float, help="distance (m)")
     p.add_argument("--envelope", action="store_true", help="radial envelope at --r")
-    p.add_argument("--suppression", type=float, metavar="K", help="filter value at wavenumber K (1/m)")
+    p.add_argument("--suppression", type=_finite_float, metavar="K", help="filter value at wavenumber K (1/m)")
     p.add_argument("--kernel", metavar="X,Y,Z", help="kernel at a comma-separated point (m)")
     _add_common(p)
     p.set_defaults(func=cmd_polarization)
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     p.add_argument("--config", required=True, help="configuration JSON")
     p.add_argument("--overlap", type=int, nargs=2, metavar=("I", "J"), help="overlap report for one pair")
-    p.add_argument("--tol", type=float, default=1e-5, help="overlap quadrature tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-5, help="overlap accuracy required relative to the bound")
     _add_common(p)
     p.set_defaults(func=cmd_ensemble_check)
 

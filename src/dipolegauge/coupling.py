@@ -213,33 +213,36 @@ class RegistryError(ValueError):
 
 
 def _species_from_row(row: dict, where: str) -> AtomSpecies:
-    def positive(field: str) -> float:
-        raw = (row.get(field) or "").strip() if isinstance(row.get(field), str) else row.get(field)
+    def number(field: str) -> float | None:
+        """The field as a positive finite float, or None when it is empty."""
+        raw = row.get(field)
+        if isinstance(raw, str):
+            raw = raw.strip()
         if raw in (None, ""):
-            raise RegistryError(f"{where}: missing field {field!r}")
+            return None
         try:
             value = float(raw)
         except (TypeError, ValueError):
             raise RegistryError(f"{where}: field {field!r} is not a number: {raw!r}") from None
-        if value <= 0.0:
-            raise RegistryError(f"{where}: field {field!r} must be positive, got {value}")
+        if not (value > 0.0 and math.isfinite(value)):
+            raise RegistryError(f"{where}: field {field!r} must be positive and finite, got {value}")
+        return value
+
+    def required(field: str) -> float:
+        value = number(field)
+        if value is None:
+            raise RegistryError(f"{where}: missing field {field!r}")
         return value
 
     name = (row.get("name") or "").strip()
     if not name:
         raise RegistryError(f"{where}: missing species name")
-    crystalline_raw = row.get("crystalline_density_per_m3")
-    if isinstance(crystalline_raw, str):
-        crystalline_raw = crystalline_raw.strip()
-    crystalline = float(crystalline_raw) if crystalline_raw not in (None, "") else None
-    if crystalline is not None and crystalline <= 0.0:
-        raise RegistryError(f"{where}: crystalline density must be positive, got {crystalline}")
     return AtomSpecies(
         name=name,
-        lambda_a=positive("lambda_nm") * 1e-9,
-        gamma_hwhm=math.pi * positive("gamma_fwhm_MHz") * 1e6,
-        mass=positive("mass_amu") * ATOMIC_MASS_UNIT,
-        crystalline_density=crystalline,
+        lambda_a=required("lambda_nm") * 1e-9,
+        gamma_hwhm=math.pi * required("gamma_fwhm_MHz") * 1e6,
+        mass=required("mass_amu") * ATOMIC_MASS_UNIT,
+        crystalline_density=number("crystalline_density_per_m3"),
     )
 
 

@@ -17,7 +17,6 @@ doublet deep in the high-coupling phase deterministically.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -452,28 +451,6 @@ def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | N
 # ---------------------------------------------------------------------------
 
 SCAN_CSV_COLUMNS = ("F", "N", "n_max", "energy", "photon_fraction", "inversion", "sx2_fraction", "parity")
-
-
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def scan_rows_to_csv(rows: list[ScanRow], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SCAN_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                _cell(row.fom),
-                _cell(row.n_atoms),
-                _cell(row.n_max),
-                _cell(row.energy),
-                _cell(row.photon_fraction),
-                _cell(row.inversion),
-                _cell(row.sx2_fraction),
-                _cell(row.parity),
-            ]
-        )
 
 
 def scan_rows_to_json(rows: list[ScanRow]) -> list[dict]:

@@ -3,8 +3,10 @@
 The residual polarization of each atom decays exponentially outside a
 radius ~1/kM, so two atoms further apart than twice that radius no longer
 see each other through the quadratic polarization energy; what little
-remains is the pair overlap integral (1/eps0) int P_A . P_B dV computed
-here by quadrature, together with an analytic exponential envelope bound.
+remains is the pair overlap integral (1/eps0) int P_A . P_B dV, evaluated
+here from its exact closed form together with an analytic exponential
+envelope bound.  Pair distances come from a k-d tree, so spacing checks
+never hold an N x N array.
 """
 
 from __future__ import annotations
@@ -15,21 +17,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaincc
+from scipy.spatial import cKDTree
 
 from .constants import CONSTANTS
 from .coupling import AtomSpecies, FigureOfMeritReport, fom_density_q
-from .polarization import QuadratureError, _cutoff_value, total_residual_polarization_many
+from .polarization import QuadratureError, _cutoff_value
 
-# Per-atom field truncation radius for the overlap quadrature, in units of
-# 1/kM beyond half the separation; the discarded region then carries a
-# factor exp(-2 * TRUNCATION_MARGIN) relative to the kept one.
-TRUNCATION_MARGIN = 20.0
 
-_PHI = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-_COS_PHI = np.cos(_PHI)
-_SIN_PHI = np.sin(_PHI)
+def _nearest_neighbour_distances(positions: np.ndarray) -> np.ndarray:
+    """Distance from each of at least two atoms to its nearest other atom (m)."""
+    distances, _ = cKDTree(positions).query(positions, k=2)
+    return distances[:, 1]
 
 
 @dataclass(frozen=True)
@@ -53,12 +51,8 @@ class AtomConfiguration:
             raise ValueError("positions and dipoles must be finite")
         if self.volume <= 0.0:
             raise ValueError(f"volume must be positive, got {self.volume}")
-        if len(positions) >= 2:
-            diff = positions[:, None, :] - positions[None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            if np.min(dist) == 0.0:
-                raise ValueError("positions must be pairwise distinct")
+        if len(positions) >= 2 and np.min(_nearest_neighbour_distances(positions)) == 0.0:
+            raise ValueError("positions must be pairwise distinct")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "dipoles", dipoles)
 
@@ -83,26 +77,25 @@ def min_pairwise_distance(config: AtomConfiguration) -> float:
     """Smallest distance between any two atoms (m)."""
     if len(config) < 2:
         raise ValueError("need at least two atoms")
-    diff = config.positions[:, None, :] - config.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    return float(np.min(dist))
+    return float(np.min(_nearest_neighbour_distances(config.positions)))
 
 
 def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]:
-    """Pairs closer than 2/kM, i.e. with touching or overlapping zones.
+    """Pairs (i < j, sorted) closer than 2/kM, i.e. with overlapping zones.
 
     Convention: each atom owns a radius-1/kM region; the pair threshold is
     the sum of the two radii.
     """
     mu = _cutoff_value(k_m)
     threshold = 2.0 / mu
-    pairs = []
-    for i in range(len(config)):
-        for j in range(i + 1, len(config)):
-            if np.linalg.norm(config.positions[j] - config.positions[i]) < threshold:
-                pairs.append((i, j))
-    return pairs
+    # query_pairs compares squared distances, which for pairs at 2/kM off the
+    # axes can round to the other side of the threshold than the distance
+    # does; its candidates from a slightly wider radius are re-tested on the
+    # distance itself, so a pair exactly 2/kM apart (touching zones) is never
+    # flagged.
+    pairs = cKDTree(config.positions).query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
+    separations = np.linalg.norm(config.positions[pairs[:, 1]] - config.positions[pairs[:, 0]], axis=1)
+    return sorted(map(tuple, pairs[separations < threshold].tolist()))
 
 
 def max_packing_density(k_m) -> float:
@@ -124,7 +117,7 @@ class OverlapReport:
     separation: float  # m
     overlap_energy: float  # J
     bound: float  # J, analytic exponential envelope
-    error_estimate: float  # J, quadrature plus truncation
+    error_estimate: float  # J, floating-point rounding bound of the closed form
 
 
 def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> float:
@@ -142,45 +135,32 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
     return abs(d_a) * abs(d_b) * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly
 
 
-def _dipole_envelope_field(d: np.ndarray, x_atom: np.ndarray, mu: float, points: np.ndarray) -> np.ndarray:
-    """Dipole-shaped part of the residual field: -(1-envelope)(3 (n.d) n - d)/(4 pi r^3).
-
-    Its integral over all space vanishes at every radius by angular
-    symmetry, which makes it the natural subtraction for taming the 1/r^3
-    behaviour of the residual field at its own atom.
-    """
-    rel = np.asarray(points, dtype=float) - x_atom
-    r = np.linalg.norm(rel, axis=1)
-    n = rel / r[:, None]
-    nd = n @ d
-    complement = gammaincc(3.0, mu * r)
-    return -(complement / (4.0 * math.pi * r**3))[:, None] * (3.0 * nd[:, None] * n - d)
-
-
 def residual_overlap_energy(
     config: AtomConfiguration,
     pair: tuple[int, int],
     k_m,
     tol: float = 1e-6,
 ) -> OverlapReport:
-    """Pair overlap energy (1/eps0) int P_A . P_B dV by quadrature (J).
+    """Pair overlap energy (1/eps0) int P_A . P_B dV in closed form (J).
 
     The reported energy is the full cross term of the quadratic
     polarization energy, including the two point contributions
     (1/3 eps0) d_X . P_Y(x_X) from the delta-supported longitudinal cores
-    sampling the other atom's field.
+    sampling the other atom's field.  From the k-space form of the
+    residual kernel it equals d_A . T(r) . d_B / eps0 with
 
-    The smooth part is integrated in cylindrical coordinates around the
-    pair axis after subtracting, for each atom, its dipole-envelope field
-    times the other field frozen at the atom position; the subtracted
-    terms integrate to zero exactly and remove the near-atom 1/r^3
-    cancellation that plain adaptive quadrature resolves poorly.  The
-    angular integral is a 16-point periodic trapezoid (exact for the
-    degree-4 trigonometric integrand); (z, rho) is adaptive, with each
-    field truncated at separation/2 + TRUNCATION_MARGIN/kM.
+        T = kM^3 e^(-x)/(8 pi x^3) [(x^3 + x^2 + 2x + 2) id - (x^3 + 3x^2 + 6x + 6) n n],
 
-    tol is relative to the envelope bound, which keeps the target
-    meaningful when orientations make the overlap itself nearly zero.
+    x = kM r and n the unit pair axis.  The two polynomials sum to the
+    envelope polynomial 2x^3 + 4x^2 + 8x + 8, so every term is at most
+    the envelope bound and the rounding error is a small multiple of
+    machine epsilon times it: error_estimate = (16 + x) eps * bound, the x
+    carrying the rounding of x itself through exp(-x).
+
+    tol is the accuracy required relative to the envelope bound, which
+    keeps the target meaningful when orientations make the overlap itself
+    nearly zero; QuadratureError is raised when the rounding bound
+    exceeds it.
     """
     mu = _cutoff_value(k_m)
     if tol <= 0.0:
@@ -190,77 +170,21 @@ def residual_overlap_energy(
         raise ValueError("pair indices must be distinct")
     if not (0 <= i < len(config) and 0 <= j < len(config)):
         raise ValueError(f"pair {pair} out of range for {len(config)} atoms")
-    x_a = config.positions[i]
-    x_b = config.positions[j]
     d_a = config.dipoles[i]
     d_b = config.dipoles[j]
-    axis = x_b - x_a
+    axis = config.positions[j] - config.positions[i]
     separation = float(np.linalg.norm(axis))
-    axis = axis / separation
+    n = axis / separation
+    x = mu * separation
 
-    # Orthonormal frame with the pair axis as local z.
-    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-
-    bound = overlap_envelope_bound(
-        float(np.linalg.norm(d_a)), float(np.linalg.norm(d_b)), mu, separation
-    )
-    target = tol * bound
-
-    p_b_at_a = total_residual_polarization_many(d_b, x_b, mu, x_a[None, :])[0]
-    p_a_at_b = total_residual_polarization_many(d_a, x_a, mu, x_b[None, :])[0]
-
-    r_trunc = separation / 2.0 + TRUNCATION_MARGIN / mu
-    z_lo = separation - r_trunc
-    z_hi = r_trunc
-
-    def phi_ring(z: float, rho: float) -> float:
-        points = (
-            x_a
-            + z * axis[None, :]
-            + rho * (_COS_PHI[:, None] * e1[None, :] + _SIN_PHI[:, None] * e2[None, :])
-        )
-        p_a = total_residual_polarization_many(d_a, x_a, mu, points)
-        p_b = total_residual_polarization_many(d_b, x_b, mu, points)
-        values = np.sum(p_a * p_b, axis=1)
-        values -= _dipole_envelope_field(d_a, x_a, mu, points) @ p_b_at_a
-        values -= _dipole_envelope_field(d_b, x_b, mu, points) @ p_a_at_b
-        return float(np.mean(values))
-
-    inner_tol = 0.2 * target * CONSTANTS.eps0 / (z_hi - z_lo)
-
-    def shell(z: float) -> float:
-        reach = r_trunc**2 - max(z * z, (z - separation) ** 2)
-        if reach <= 0.0:
-            return 0.0
-        rho_max = math.sqrt(reach)
-        value, _ = integrate.quad(
-            lambda rho: 2.0 * math.pi * rho * phi_ring(z, rho),
-            0.0,
-            rho_max,
-            epsabs=inner_tol,
-            epsrel=3e-8,
-            limit=150,
-        )
-        return value
-
-    raw, raw_err = integrate.quad(
-        shell,
-        z_lo,
-        z_hi,
-        points=[0.0, separation],
-        epsabs=0.3 * target * CONSTANTS.eps0,
-        epsrel=3e-8,
-        limit=200,
-    )
-    cores = (float(d_a @ p_b_at_a) + float(d_b @ p_a_at_b)) / 3.0
-    energy = (raw + cores) / CONSTANTS.eps0
-    truncation = bound * math.exp(-2.0 * TRUNCATION_MARGIN)
-    error_estimate = raw_err / CONSTANTS.eps0 + (z_hi - z_lo) * inner_tol / CONSTANTS.eps0 + truncation
-    if error_estimate > max(target, tol * abs(energy)):
-        raise QuadratureError("overlap quadrature did not converge", error_estimate)
+    prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
+    isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)
+    axial = (x**3 + 3.0 * x**2 + 6.0 * x + 6.0) * float(n @ d_a) * float(n @ d_b)
+    energy = prefactor * (isotropic - axial)
+    bound = overlap_envelope_bound(float(np.linalg.norm(d_a)), float(np.linalg.norm(d_b)), mu, separation)
+    error_estimate = (16.0 + x) * np.finfo(float).eps * bound
+    if error_estimate > tol * bound:
+        raise QuadratureError("overlap closed form cannot reach the requested tolerance", error_estimate)
     return OverlapReport(
         pair=(i, j),
         separation=separation,

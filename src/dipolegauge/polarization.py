@@ -98,11 +98,6 @@ def radial_envelope(k_m, r: float) -> float:
     return float(gammainc(3.0, mu * r))
 
 
-def _envelope_complement(x: float) -> float:
-    """1 - radial_envelope = (1 + x + x^2/2) exp(-x), computed stably."""
-    return float(gammaincc(3.0, x))
-
-
 def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     """Filtered transverse projector in k-space (3x3, symmetric).
 
@@ -304,7 +299,12 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
 
 
 def total_residual_polarization(d, x_a, k_m, x) -> np.ndarray:
-    """Sum of transverse and longitudinal polarization (C/m^2).
+    """Sum of transverse and longitudinal polarization (C/m^2) at one point x."""
+    return total_residual_polarization_many(d, x_a, k_m, _vector(x)[None, :])[0]
+
+
+def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndarray:
+    """Sum of transverse and longitudinal polarization (C/m^2) at (M, 3) points.
 
     The dipole-field parts cancel up to the envelope complement, so the
     result is computed in the explicitly exponentially small form
@@ -312,23 +312,6 @@ def total_residual_polarization(d, x_a, k_m, x) -> np.ndarray:
     + kM^2 exp(-kM r) (d + (n.d) n)/(8 pi r),
     which avoids subtractive cancellation at kM r >> 1.
     """
-    mu = _cutoff_value(k_m)
-    dv = _vector(d)
-    rel = _vector(x) - _vector(x_a)
-    r = float(np.linalg.norm(rel))
-    if r == 0.0:
-        raise ValueError("field point coincides with the dipole position")
-    n = rel / r
-    nd = float(n @ dv)
-    s = mu * r
-    complement = _envelope_complement(s)
-    dipole_part = -complement * (3.0 * nd * n - dv) / (4.0 * math.pi * r**3)
-    near_part = mu * mu * math.exp(-s) / (8.0 * math.pi * r) * (dv + nd * n)
-    return dipole_part + near_part
-
-
-def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndarray:
-    """total_residual_polarization evaluated at an (M, 3) array of points."""
     mu = _cutoff_value(k_m)
     dv = _vector(d)
     rel = np.asarray(points, dtype=float) - _vector(x_a)

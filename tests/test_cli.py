@@ -29,6 +29,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def rejected_by_parser(capsys, argv):
+    """Exit code and stderr of an argument the parser refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
 class TestCutoffWindow:
     def test_ratio_for_half_inverse_bohr(self, capsys):
         code, out, _ = run_cli(capsys, ["cutoff-window", "--kM-inv-bohr", "0.5", "--species", "H"])
@@ -59,6 +68,11 @@ class TestCutoffWindow:
         code, _, err = run_cli(capsys, ["cutoff-window", "--species", "H"])
         assert code == 2
         assert "cutoff" in err
+
+    def test_infinite_radiation_wavenumber_exits_2(self, capsys):
+        code, err = rejected_by_parser(capsys, ["cutoff-window", "--kM", "1e10", "--k-radiation", "inf"])
+        assert code == 2
+        assert "finite" in err
 
 
 class TestCriticalDensity:
@@ -110,6 +124,20 @@ class TestDickeScan:
         assert code == 2
         assert "grid" in err
 
+    def test_oversized_grid_exits_2_before_building_it(self, capsys):
+        code, out, err = run_cli(capsys, ["dicke-scan", "--N", "6", "--F", "0:1:1e-300", "--resonant"])
+        assert code == 2
+        assert out == ""
+        assert "points" in err
+
+    def test_failed_row_printed_and_exits_1(self, capsys):
+        # N = 30000 exceeds the Hamiltonian dimension cap at the first truncation
+        code, out, err = run_cli(capsys, ["dicke-scan", "--N", "30000", "--F", "0.5", "--resonant"])
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert "exceeds cap" in row["error"]
+        assert "exceeds cap" in err
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, ["dicke-scan", "--N", "4", "--F", "0.5", "--resonant"])
         assert code == 0
@@ -142,6 +170,18 @@ class TestPolarization:
         code, _, err = run_cli(capsys, ["polarization", "--kM", "1e10"])
         assert code == 2
         assert "nothing to compute" in err
+
+    def test_nan_distance_exits_2(self, capsys):
+        code, err = rejected_by_parser(capsys, ["polarization", "--kM", "1e10", "--r", "nan", "--envelope"])
+        assert code == 2
+        assert "finite" in err
+
+    def test_non_finite_result_is_not_emitted(self, capsys):
+        # kM^2 overflows, so the filter value is inf/inf: not valid JSON
+        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e200", "--suppression", "1e200"])
+        assert code == 2
+        assert out == ""
+        assert "JSON" in err
 
 
 class TestEnsembleCheck:

@@ -226,6 +226,25 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="lambda_nm"):
             load_species_registry(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wavelength_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "name,mass_amu,lambda_nm,gamma_fwhm_MHz,crystalline_density_per_m3\n"
+            f"X,1.0,{value},5.0,\n"
+        )
+        with pytest.raises(RegistryError, match="lambda_nm"):
+            load_species_registry(path)
+
+    def test_non_numeric_crystalline_density_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "name,mass_amu,lambda_nm,gamma_fwhm_MHz,crystalline_density_per_m3\n"
+            "X,1.0,500,5.0,1e28\nY,1.0,500,5.0,dense\n"
+        )
+        with pytest.raises(RegistryError, match=r"bad\.csv:3: field 'crystalline_density_per_m3' is not a number"):
+            load_species_registry(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("name,mass_amu\nX,1.0\n")

@@ -1,10 +1,11 @@
-import io
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from dipolegauge import cli
 from dipolegauge.dicke import (
     DickeParams,
     DimensionError,
@@ -20,8 +21,6 @@ from dipolegauge.dicke import (
     observables,
     parity_diagonal,
     scan_coupling,
-    scan_rows_to_csv,
-    scan_rows_to_json,
     ScanRow,
 )
 
@@ -286,24 +285,31 @@ class TestCrossingEstimate:
 
 
 class TestSerialization:
-    def test_csv_columns_and_values(self):
+    @staticmethod
+    def scan_output(monkeypatch, capsys, rows, *options):
+        monkeypatch.setattr(cli, "scan_coupling", lambda template, grid, max_workers=1: rows)
+        code = cli.main(["dicke-scan", "--N", "4", "--F", "0.5", "--resonant", *options])
+        return code, capsys.readouterr().out
+
+    def test_csv_columns_and_values(self, monkeypatch, capsys):
         rows = [
             ScanRow(fom=0.5, n_atoms=4, n_max=8, energy=-2.0, photon_fraction=0.1,
                     inversion=-0.4, sx2_fraction=0.08, parity=1.0)
         ]
-        stream = io.StringIO()
-        scan_rows_to_csv(rows, stream)
-        lines = stream.getvalue().splitlines()
+        code, out = self.scan_output(monkeypatch, capsys, rows, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0] == "F,N,n_max,energy,photon_fraction,inversion,sx2_fraction,parity"
         assert lines[1] == "0.5,4,8,-2.0,0.1,-0.4,0.08,1.0"
 
-    def test_failed_row_has_empty_cells_and_json_error(self):
+    def test_failed_row_has_empty_cells_and_json_error(self, monkeypatch, capsys):
         rows = [
             ScanRow(fom=0.5, n_atoms=4, n_max=None, energy=None, photon_fraction=None,
                     inversion=None, sx2_fraction=None, parity=None, error="boom")
         ]
-        stream = io.StringIO()
-        scan_rows_to_csv(rows, stream)
-        assert stream.getvalue().splitlines()[1] == "0.5,4,,,,,,"
-        payload = scan_rows_to_json(rows)
-        assert payload[0]["error"] == "boom"
+        code, out = self.scan_output(monkeypatch, capsys, rows, "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1] == "0.5,4,,,,,,"
+        code, out = self.scan_output(monkeypatch, capsys, rows)
+        assert code == 1
+        assert json.loads(out)["rows"][0]["error"] == "boom"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dipolegauge.constants import BOHR_RADIUS, CONSTANTS
 from dipolegauge.coupling import default_species_registry
@@ -18,10 +19,21 @@ from dipolegauge.ensemble import (
     config_figure_of_merit,
     residual_overlap_energy,
 )
+from dipolegauge.polarization import QuadratureError
 from conftest import random_rotation
+from overlap_quadrature import quadrature_overlap_energy
 
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS
+
+# Components and coordinates on a 0.01 grid (dipoles in units of D0, positions
+# in units of 1/kM), so products stay far from underflow; the positions are
+# lattice-like, and some pairs fall inside 2/kM.
+grid = st.integers(min_value=-100, max_value=100).map(lambda k: k / 100.0)
+grid_vectors = st.tuples(grid, grid, grid).map(np.array)
+directions = grid_vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
+coordinates = st.integers(min_value=-400, max_value=400).map(lambda k: k / 100.0)
+atom_sites = st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8, unique=True)
 
 
 def pair_config(separation, d_a, d_b, direction=(0.0, 0.0, 1.0)):
@@ -34,21 +46,18 @@ def pair_config(separation, d_a, d_b, direction=(0.0, 0.0, 1.0)):
     )
 
 
-def overlap_oracle(d_a, d_b, mu, r_vec):
-    """Closed-form cross energy from the k-space tensor (J).
-
-    Verified independently against a radial k-space quadrature; used here
-    as the reference for the real-space quadrature path.
-    """
-    separation = np.linalg.norm(r_vec)
-    n = r_vec / separation
-    x = mu * separation
-    prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3)
-    tensor = prefactor * (
-        (x**3 + x**2 + 2 * x + 2) * np.eye(3)
-        - (x**3 + 3 * x**2 + 6 * x + 6) * np.outer(n, n)
+def assert_matches_brute_force(positions, k_m=MU):
+    """Spacing checks against the dense all-pairs distance matrix."""
+    config = AtomConfiguration(
+        positions=positions, dipoles=np.tile([0.0, 0.0, D0], (len(positions), 1)), volume=1e-27
     )
-    return float(d_a @ tensor @ d_b) / CONSTANTS.eps0
+    distances = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    i, j = np.triu_indices(len(positions), 1)  # every pair once, in sorted order
+    close = distances[i, j] < 2.0 / k_m
+    violations = intimacy_violations(config, k_m)
+    assert violations == list(zip(i[close].tolist(), j[close].tolist()))
+    assert min_pairwise_distance(config) == pytest.approx(np.min(distances[i, j]), rel=4 * np.finfo(float).eps)
+    return violations
 
 
 class TestGeometry:
@@ -129,6 +138,28 @@ class TestIntimacyViolations:
             clean = intimacy_violations(config, MU) == []
             assert clean == (min_pairwise_distance(config) >= 2.0 / MU)
 
+    @given(atom_sites)
+    @settings(max_examples=60)
+    def test_matches_brute_force(self, sites):
+        # atoms 0 and 1 sit exactly 2/kM apart: touching zones are not a violation
+        positions = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], *sites]) / MU
+        assume(len(np.unique(positions, axis=0)) == len(positions))
+        assert (0, 1) not in assert_matches_brute_force(positions)
+
+    def test_off_axis_pairs_at_threshold_follow_the_distance(self, rng):
+        # Pairs 2/kM apart along 3-4-5 and 18-24-40 diagonals.  Their squared
+        # distances round to either side of (2/kM)^2, and for some kM (0.4/a0
+        # among these) comparing squares would flag a pair the distance does not.
+        steps = np.array([[1.2, 1.6, 0.0], [0.0, 1.2, 1.6], [0.72, 0.96, 1.6], [1.6, 0.0, 1.2]])
+        anchors = rng.integers(-400, 400, size=(200, 3)) / 100.0 + 20.0 * np.arange(200)[:, None]
+        units = np.concatenate([anchors, anchors + steps[np.arange(200) % 4]])
+        for k_m in np.arange(1, 31) / 10.0 / BOHR_RADIUS:
+            positions = units / k_m
+            flagged = np.linalg.norm(positions[200:] - positions[:200], axis=1) < 2.0 / k_m
+            assert 0 < np.count_nonzero(flagged) < 200
+            violations = assert_matches_brute_force(positions, k_m)
+            assert violations == [(i, i + 200) for i in np.flatnonzero(flagged).tolist()]
+
 
 class TestMaxPackingDensity:
     def test_half_inverse_bohr(self):
@@ -181,9 +212,8 @@ class TestOverlapEnergy:
             direction = rng.normal(size=3)
             config = pair_config(separation, d_a, d_b, direction)
             report = residual_overlap_energy(config, (0, 1), MU, tol=1e-5)
-            axis = direction / np.linalg.norm(direction)
-            oracle = overlap_oracle(d_a, d_b, MU, separation * axis)
-            assert abs(report.overlap_energy - oracle) <= report.error_estimate + 1e-8 * report.bound
+            oracle = quadrature_overlap_energy(config, (0, 1), MU, tol=1e-5)
+            assert abs(report.overlap_energy - oracle.overlap_energy) <= oracle.error_estimate + 1e-8 * oracle.bound
 
     def test_respects_envelope_bound(self):
         config = pair_config(6.0 / MU, [0, 0, D0], [0, 0, D0])
@@ -218,6 +248,11 @@ class TestOverlapEnergy:
         with pytest.raises(ValueError):
             residual_overlap_energy(config, (0, 5), MU)
 
+    def test_tolerance_below_rounding_raises(self):
+        config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])
+        with pytest.raises(QuadratureError):
+            residual_overlap_energy(config, (0, 1), MU, tol=1e-18)
+
     def test_envelope_bound_shape(self):
         # polynomial-times-exponential envelope in the scaled separation
         x = 6.0
@@ -225,6 +260,25 @@ class TestOverlapEnergy:
         expected_poly = (2 * x**3 + 4 * x**2 + 8 * x + 8) / x**3
         expected = D0 * D0 * MU**3 / (8 * math.pi * CONSTANTS.eps0) * math.exp(-x) * expected_poly
         assert bound == pytest.approx(expected, rel=1e-12)
+
+    @given(grid_vectors, grid_vectors, directions, st.floats(min_value=2.0, max_value=20.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_swap_and_rotation_properties(self, d_a, d_b, direction, x, seed):
+        config = pair_config(x / MU, D0 * d_a, D0 * d_b, direction)
+        report = residual_overlap_energy(config, (0, 1), MU)
+        assert abs(report.overlap_energy) <= report.bound + report.error_estimate
+        swapped = residual_overlap_energy(config, (1, 0), MU)
+        assert swapped.overlap_energy == pytest.approx(
+            report.overlap_energy, abs=report.error_estimate + swapped.error_estimate
+        )
+        # Rotating the inputs rounds them by a few ulps; at kM r <= 20 that
+        # moves the energy by far less than 1e-12 of the bound.
+        rotation = random_rotation(np.random.default_rng(seed))
+        rotated = residual_overlap_energy(
+            pair_config(x / MU, rotation @ (D0 * d_a), rotation @ (D0 * d_b), rotation @ direction), (0, 1), MU
+        )
+        assert rotated.bound == pytest.approx(report.bound, rel=1e-12)
+        assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound)
 
 
 class TestConfigurationFile:
