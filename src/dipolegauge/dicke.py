@@ -11,13 +11,15 @@ the figure of merit g^2/(omega omega_A) equals 1 at the critical point.
 
 The parity operator (-1)^(a'a + S_z + N/2) is diagonal in this basis and
 commutes with both variants, so ground states are computed per parity
-sector; that keeps <a + a'> exactly zero and resolves the near-degenerate
-doublet deep in the high-coupling phase deterministically.
+sector, each block built directly from index arithmetic; that keeps
+<a + a'> exactly zero and resolves the near-degenerate doublet deep in the
+high-coupling phase deterministically.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -142,12 +144,22 @@ def _spin_x(n_atoms: int) -> np.ndarray:
     return sx
 
 
-def build_hamiltonian(p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_matrix:
-    """Sparse symmetric Hamiltonian on |n> (x) |N/2, m>, photon index major.
+# Basis states (n + dn, j + dj) that H couples |n, j> to, in ascending
+# column order; (0, 0) is the diagonal.  S_x moves the spin either way, the
+# number-conserving coupling only against the photon step.
+_STEPS = ((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1))
+_STEPS_RWA = ((-1, 1), (0, 0), (1, -1))
 
-    Ladder matrix elements are sqrt(n) and sqrt(S(S+1) - m(m+/-1)); the
-    symmetric pairs are built from the same float values, so H equals its
-    transpose exactly.
+
+def _row_entries(p: DickeParams, dimension_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns, values and presence of every stored entry, each (dimension, steps).
+
+    Row n (N+1) + j lists its entries in ascending column order, so dropping
+    the absent ones (off the lattice, or exactly zero) leaves sorted CSR rows.
+    Values repeat the Kronecker assembly's float operations: omega n + omega_A m
+    on the diagonal, (g/sqrt(N)) (sqrt(n) e) off it, with e the S_x element
+    (half the S+ one) or, under rwa, the S+ element.  Symmetric pairs take
+    the same float values, so H equals its transpose exactly.
     """
     if p.dimension > dimension_cap:
         raise DimensionError(
@@ -158,28 +170,68 @@ def build_hamiltonian(p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP
     n_sp = p.n_atoms + 1
     s = p.n_atoms / 2.0
     m = np.arange(n_sp) - s
-
-    photon_number = sparse.diags(np.arange(n_ph, dtype=float))
-    spin_z = sparse.diags(m)
-    identity_ph = sparse.identity(n_ph)
-    identity_sp = sparse.identity(n_sp)
-
-    h = p.omega * sparse.kron(photon_number, identity_sp) + p.omega_a * sparse.kron(identity_ph, spin_z)
-
+    raising = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1| S+ |m>
+    spin = raising if p.rwa else 0.5 * raising
+    ladder = np.sqrt(np.arange(1, n_ph, dtype=float))  # <n-1| a |n>
     scale = p.g_collective / math.sqrt(p.n_atoms)
-    if p.rwa:
-        # a (x) S+ plus its transpose (= a' (x) S-)
-        annihilate = sparse.diags(np.sqrt(np.arange(1, n_ph, dtype=float)), offsets=1)
-        raising = sparse.diags(
-            np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0)), offsets=-1, shape=(n_sp, n_sp)
-        )
-        half = sparse.kron(annihilate, raising)
-        h = h + scale * (half + half.T)
-    else:
-        ladder = np.sqrt(np.arange(1, n_ph, dtype=float))
-        x_op = sparse.diags([ladder, ladder], offsets=[1, -1])
-        h = h + scale * sparse.kron(x_op, sparse.csr_matrix(_spin_x(p.n_atoms)))
-    return sparse.csr_matrix(h)
+    n = np.arange(n_ph)[:, None]
+    j = np.arange(n_sp)[None, :]
+
+    steps = _STEPS_RWA if p.rwa else _STEPS
+    columns = np.empty((n_ph, n_sp, len(steps)), dtype=np.intp)
+    values = np.empty(columns.shape)
+    present = np.empty(columns.shape, dtype=bool)
+    for k, (dn, dj) in enumerate(steps):
+        columns[..., k] = (n + dn) * n_sp + (j + dj)
+        if dn == 0:
+            values[..., k] = p.omega * n + p.omega_a * m
+            present[..., k] = True
+        else:
+            # the lower index of each pair picks its element: ladder[n_low], spin[j_low]
+            photon, spin_pair = n + min(dn, 0), j + min(dj, 0)
+            present[..., k] = (photon >= 0) & (photon < n_ph - 1) & (spin_pair >= 0) & (spin_pair < n_sp - 1)
+            values[..., k] = scale * (
+                ladder[np.clip(photon, 0, n_ph - 2)] * spin[np.clip(spin_pair, 0, n_sp - 2)]
+            )
+    present &= values != 0.0
+    dim = p.dimension
+    return columns.reshape(dim, -1), values.reshape(dim, -1), present.reshape(dim, -1)
+
+
+def _csr(indices: np.ndarray, data: np.ndarray, present: np.ndarray) -> sparse.csr_matrix:
+    """Square CSR matrix from the kept entries of row-ordered (rows, steps) arrays."""
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    dim = present.shape[0]
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+def build_hamiltonian(p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_matrix:
+    """Sparse symmetric Hamiltonian on |n> (x) |N/2, m>, photon index major."""
+    columns, values, present = _row_entries(p, dimension_cap)
+    return _csr(columns[present], values[present], present)
+
+
+def sector_hamiltonians(
+    p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP
+) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
+    """Parity blocks of the Hamiltonian, even parity first.
+
+    Each item is (idx, block) with idx the ascending basis indices of the
+    sector and block equal to build_hamiltonian(p)[idx][:, idx], built
+    without the full matrix: the coupling changes n + j by 0 or +/-2, so
+    every row's entries lie in its own sector.
+    """
+    columns, values, present = _row_entries(p, dimension_cap)
+    parity = parity_diagonal(p)
+    sectors = [np.flatnonzero(parity == sign) for sign in (1.0, -1.0)]
+    local = np.empty(p.dimension, dtype=np.intp)
+    for idx in sectors:
+        local[idx] = np.arange(idx.size)
+    blocks = []
+    for idx in sectors:
+        kept = present[idx]
+        blocks.append((idx, _csr(local[columns[idx][kept]], values[idx][kept], kept)))
+    return blocks
 
 
 def parity_diagonal(p: DickeParams) -> np.ndarray:
@@ -201,6 +253,11 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[pivot] < 0.0 else vec
 
 
+def _row_sum_norm(h: sparse.csr_matrix) -> float:
+    """Max-row-sum norm, or 1 for the zero matrix."""
+    return float(np.max(np.abs(h).sum(axis=1))) or 1.0
+
+
 def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a real symmetric matrix.
 
@@ -212,13 +269,16 @@ def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """
     h = sparse.csr_matrix(h)
     dim = h.shape[0]
-    scale = float(np.max(np.abs(h).sum(axis=1))) or 1.0
+    scale = _row_sum_norm(h)
     if dim < 8:
         values, vectors = np.linalg.eigh(h.toarray())
         return float(values[0]), _fix_sign(vectors[:, 0])
     v0 = np.random.default_rng(902).standard_normal(dim)
     v0 /= np.linalg.norm(v0)
-    values, vectors = splinalg.eigsh(h, k=1, which="SA", v0=v0, tol=0)
+    # ARPACK calls the matvec about a hundred times per solve; the CSR
+    # product itself skips the matmat dispatch chain eigsh wraps a matrix in
+    operator = splinalg.LinearOperator(h.shape, matvec=h.dot, dtype=h.dtype)
+    values, vectors = splinalg.eigsh(operator, k=1, which="SA", v0=v0, tol=0)
     energy = float(values[0])
     vec = vectors[:, 0]
     residual = float(np.linalg.norm(h @ vec - energy * vec))
@@ -227,9 +287,7 @@ def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
-def ground_state_sectored(
-    p: DickeParams, h: sparse.csr_matrix | None = None, tol: float = 1e-10
-) -> tuple[float, np.ndarray, bool]:
+def ground_state_sectored(p: DickeParams, tol: float = 1e-10) -> tuple[float, np.ndarray, bool]:
     """Ground state resolved per parity sector.
 
     Solves each sector separately and returns the lower one (ties go to
@@ -237,25 +295,17 @@ def ground_state_sectored(
     (sector gap below 1e-8 of the matrix norm scale).  The returned vector
     is supported on a single sector, so parity is exact.
     """
-    if h is None:
-        h = build_hamiltonian(p)
-    par = parity_diagonal(p)
-    scale = float(np.max(np.abs(h).sum(axis=1))) or 1.0
+    sectors = sector_hamiltonians(p)
+    # every row of H lies in one sector, so this is the norm of the whole matrix
+    scale = max(_row_sum_norm(block) for _, block in sectors)
     results = []
-    for sign in (1.0, -1.0):
-        idx = np.flatnonzero(par == sign)
-        if idx.size == 0:
-            continue
-        sub = h[idx][:, idx]
-        energy, vec = ground_state(sub, tol=tol)
-        full = np.zeros(h.shape[0])
+    for idx, block in sectors:
+        energy, vec = ground_state(block, tol=tol)
+        full = np.zeros(p.dimension)
         full[idx] = vec
         results.append((energy, full))
-    if len(results) == 2:
-        gap = abs(results[0][0] - results[1][0])
-        near_degenerate = gap < NEAR_DEGENERACY_FACTOR * scale
-    else:
-        near_degenerate = False
+    (even_energy, _), (odd_energy, _) = results
+    near_degenerate = abs(even_energy - odd_energy) < NEAR_DEGENERACY_FACTOR * scale
     energy, vec = min(results, key=lambda item: item[0])
     return energy, vec, near_degenerate
 
@@ -342,8 +392,7 @@ def _converged_ground(
     n_max = start
     while n_max <= cap:
         candidate = replace(p, n_max=n_max)
-        h = build_hamiltonian(candidate)
-        energy, vec, near = ground_state_sectored(candidate, h=h, tol=tol)
+        energy, vec, near = ground_state_sectored(candidate, tol=tol)
         report = observables(vec, candidate, energy=energy, near_degenerate=near)
         if previous is not None:
             prev_report, prev_vec = previous
@@ -416,13 +465,17 @@ def scan_coupling(
 
     Rows are ordered by the figure of merit; each grid point converges its
     own Fock truncation, so rows are independent and may run in parallel
-    (assembly order is fixed by the grid, not by completion).
+    (assembly order is fixed by the grid, not by completion).  At most
+    min(max_workers, grid points, CPUs) threads start.
     """
+    if max_workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {max_workers}")
     grid = sorted(float(f) for f in fom_grid)
     if any(f < 0.0 for f in grid):
         raise ValueError("figure-of-merit grid values must be nonnegative")
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda f: _scan_one(template, f, tol), grid))
     return [_scan_one(template, f, tol) for f in grid]
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,21 @@ class TestDickeScan:
         (row,) = json.loads(out)["rows"]
         assert "exceeds cap" in row["error"]
         assert "exceeds cap" in err
+
+    def test_criterion_11_scan_matches_golden_bytes(self, capsys):
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli" / "dicke-scan.stdout"
+        code, out, _ = run_cli(
+            capsys, ["dicke-scan", "--N", "6", "--F", "0:1:0.5", "--resonant", "--format", "csv"]
+        )
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, ["dicke-scan", "--N", "6", "--F", "0.5", "--resonant", "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+        assert "worker count" in err
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, ["dicke-scan", "--N", "4", "--F", "0.5", "--resonant"])

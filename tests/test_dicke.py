@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from kron_hamiltonian import kron_hamiltonian
 
-from dipolegauge import cli
+from dipolegauge import cli, dicke
 from dipolegauge.dicke import (
     DickeParams,
     DimensionError,
@@ -21,6 +22,7 @@ from dipolegauge.dicke import (
     observables,
     parity_diagonal,
     scan_coupling,
+    sector_hamiltonians,
     ScanRow,
 )
 
@@ -43,6 +45,26 @@ class TestBuild:
         assert np.all(h.row == h.col)
         energy, _ = ground_state(h.tocsr())
         assert energy == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("fom", [0.0, 0.7, 2.3])
+    @pytest.mark.parametrize("n_max", [1, 8, 33])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 7, 12])
+    def test_matches_kron_assembly_exactly(self, n_atoms, n_max, fom, rwa):
+        p = params(n_atoms=n_atoms, fom=fom, rwa=rwa, n_max=n_max)
+        expected = kron_hamiltonian(p)
+
+        def assert_same(found, reference):
+            assert found.shape == reference.shape
+            assert found.data.dtype == reference.data.dtype
+            assert np.array_equal(found.data, reference.data)
+            assert np.array_equal(found.indices, reference.indices)
+            assert np.array_equal(found.indptr, reference.indptr)
+
+        assert_same(build_hamiltonian(p), expected)
+        for (idx, block), sign in zip(sector_hamiltonians(p), (1.0, -1.0)):
+            assert np.array_equal(idx, np.flatnonzero(parity_diagonal(p) == sign))
+            assert_same(block, expected[idx][:, idx])
 
     def test_hermitian_exactly(self):
         for rwa in (False, True):
@@ -140,9 +162,8 @@ class TestSymmetries:
 
     def test_sectored_matches_full_solve(self):
         p = params(n_atoms=7, fom=0.9, n_max=20)
-        h = build_hamiltonian(p)
-        e_sector, _, _ = ground_state_sectored(p, h=h)
-        e_full = np.linalg.eigvalsh(h.toarray())[0]
+        e_sector, _, _ = ground_state_sectored(p)
+        e_full = np.linalg.eigvalsh(build_hamiltonian(p).toarray())[0]
         assert e_sector == pytest.approx(e_full, abs=1e-11)
 
     def test_near_degeneracy_flag(self):
@@ -259,7 +280,40 @@ class TestScan:
         template = DickeParams(n_atoms=12, omega=1.0, omega_a=1.0, g_collective=0.0)
         grid = [row.fom for row in rows]
         parallel = scan_coupling(template, grid, max_workers=4)
-        assert [r.photon_fraction for r in parallel] == [r.photon_fraction for r in rows]
+        assert parallel == rows
+
+    @pytest.mark.parametrize(
+        "max_workers, grid_size, threads",
+        [(1, 5, None), (2, 5, 2), (3, 5, 3), (10**6, 5, 4), (10**6, 3, 3), (4, 1, None), (10**6, 0, None)],
+    )
+    def test_thread_count_bounded(self, monkeypatch, max_workers, grid_size, threads):
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def fake_row(template, fom, tol):
+            return ScanRow(fom=fom, n_atoms=template.n_atoms, n_max=8, energy=0.0, photon_fraction=0.0,
+                           inversion=0.0, sx2_fraction=0.0, parity=1.0)
+
+        monkeypatch.setattr(dicke, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(dicke, "_scan_one", fake_row)
+        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 4)
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        grid = [0.1 * i for i in range(grid_size)]
+        found = scan_coupling(template, grid, max_workers=max_workers)
+        assert [row.fom for row in found] == sorted(grid)
+        assert started == ([] if threads is None else [threads])
 
     def test_negative_grid_rejected(self):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
