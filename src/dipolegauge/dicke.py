@@ -211,9 +211,7 @@ def build_hamiltonian(p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP
     return _csr(columns[present], values[present], present)
 
 
-def sector_hamiltonians(
-    p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP
-) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
+def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
     """Parity blocks of the Hamiltonian, even parity first.
 
     Each item is (idx, block) with idx the ascending basis indices of the
@@ -221,7 +219,7 @@ def sector_hamiltonians(
     without the full matrix: the coupling changes n + j by 0 or +/-2, so
     every row's entries lie in its own sector.
     """
-    columns, values, present = _row_entries(p, dimension_cap)
+    columns, values, present = _row_entries(p, DEFAULT_DIMENSION_CAP)
     parity = parity_diagonal(p)
     sectors = [np.flatnonzero(parity == sign) for sign in (1.0, -1.0)]
     local = np.empty(p.dimension, dtype=np.intp)
