@@ -66,7 +66,6 @@ from .polarization import (
     CutoffParameter,
     QuadratureError,
     longitudinal_dipole_polarization,
-    numeric_inverse_transform,
     radial_envelope,
     suppression_factor,
     total_residual_polarization,

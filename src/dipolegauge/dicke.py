@@ -252,8 +252,15 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def _row_sum_norm(h: sparse.csr_matrix) -> float:
-    """Max-row-sum norm, or 1 for the zero matrix."""
-    return float(np.max(np.abs(h).sum(axis=1))) or 1.0
+    """Max-row-sum norm, or 1 for the zero matrix.
+
+    Adds each nonempty row's |entries| in storage order, as
+    np.abs(h).sum(axis=1) does, without building the absolute-value matrix.
+    """
+    starts = h.indptr[:-1][np.diff(h.indptr) > 0]
+    if starts.size == 0:
+        return 1.0
+    return float(np.add.reduceat(np.abs(h.data), starts).max()) or 1.0
 
 
 def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
@@ -266,8 +273,12 @@ def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     ||Hv - Ev|| is checked against tol times the max-row-sum norm of H.
     """
     h = sparse.csr_matrix(h)
+    return _lowest_eigenpair(h, _row_sum_norm(h), tol)
+
+
+def _lowest_eigenpair(h: sparse.csr_matrix, scale: float, tol: float) -> tuple[float, np.ndarray]:
+    """ground_state for a CSR matrix whose max-row-sum norm is already known."""
     dim = h.shape[0]
-    scale = _row_sum_norm(h)
     if dim < 8:
         values, vectors = np.linalg.eigh(h.toarray())
         return float(values[0]), _fix_sign(vectors[:, 0])
@@ -294,11 +305,12 @@ def ground_state_sectored(p: DickeParams, tol: float = 1e-10) -> tuple[float, np
     is supported on a single sector, so parity is exact.
     """
     sectors = sector_hamiltonians(p)
+    norms = [_row_sum_norm(block) for _, block in sectors]
     # every row of H lies in one sector, so this is the norm of the whole matrix
-    scale = max(_row_sum_norm(block) for _, block in sectors)
+    scale = max(norms)
     results = []
-    for idx, block in sectors:
-        energy, vec = ground_state(block, tol=tol)
+    for (idx, block), norm in zip(sectors, norms):
+        energy, vec = _lowest_eigenpair(block, norm, tol)
         full = np.zeros(p.dimension)
         full[idx] = vec
         results.append((energy, full))

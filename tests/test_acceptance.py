@@ -47,11 +47,11 @@ from dipolegauge.dicke import (
 from dipolegauge.ensemble import AtomConfiguration, residual_overlap_energy
 from dipolegauge.polarization import (
     longitudinal_dipole_polarization,
-    numeric_inverse_transform,
     total_residual_polarization,
     transverse_delta_real_exact,
     transverse_delta_real_far,
 )
+from kernel_quadrature import numeric_inverse_transform
 
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS

@@ -8,19 +8,18 @@ import pytest
 from dipolegauge.cli import main
 from dipolegauge.polarization import radial_envelope
 
+# criterion 11 runs the benchmark's own command list against its golden stdout
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from workloads import SMALL_CONFIG, cli_commands  # noqa: E402
+
+CONFIG_NAME = "atoms.json"
+
 
 @pytest.fixture
 def atoms_file(tmp_path):
-    path = tmp_path / "atoms.json"
-    path.write_text(
-        json.dumps(
-            {
-                "positions_m": [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0e-10]],
-                "dipoles_Cm": [[0.0, 0.0, 8.5e-30], [0.0, 0.0, 8.5e-30]],
-                "volume_m3": 1e-27,
-            }
-        )
-    )
+    path = tmp_path / CONFIG_NAME
+    path.write_text(json.dumps(SMALL_CONFIG))
     return str(path)
 
 
@@ -139,14 +138,6 @@ class TestDickeScan:
         assert "exceeds cap" in row["error"]
         assert "exceeds cap" in err
 
-    def test_criterion_11_scan_matches_golden_bytes(self, capsys):
-        golden = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli" / "dicke-scan.stdout"
-        code, out, _ = run_cli(
-            capsys, ["dicke-scan", "--N", "6", "--F", "0:1:0.5", "--resonant", "--format", "csv"]
-        )
-        assert code == 0
-        assert out.encode("utf-8") == golden.read_bytes()
-
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):
         code, out, err = run_cli(capsys, ["dicke-scan", "--N", "6", "--F", "0.5", "--resonant", "--jobs", jobs])
@@ -242,6 +233,13 @@ class TestEnsembleCheck:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("name", [name for name, _ in cli_commands(CONFIG_NAME)])
+    def test_criterion_11_matches_golden_bytes(self, capsys, atoms_file, name):
+        argv = dict(cli_commands(atoms_file))[name]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out.encode("utf-8") == (PERFBENCH / "data" / "cli" / f"{name}.stdout").read_bytes()
+
     def test_repeated_runs_byte_identical_in_process(self, capsys, atoms_file):
         argv = ["ensemble-check", "--config", atoms_file, "--kM-inv-bohr", "0.5"]
         _, first, _ = run_cli(capsys, argv)

@@ -128,6 +128,17 @@ class TestGroundState:
         _, vec = ground_state(build_hamiltonian(p))
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("fom", [0.0, 0.7, 2.3])
+    @pytest.mark.parametrize("n_atoms", [1, 6, 13])
+    def test_row_sum_norm_matches_absolute_matrix(self, n_atoms, fom, rwa):
+        blocks = [block for _, block in sector_hamiltonians(params(n_atoms=n_atoms, fom=fom, rwa=rwa, n_max=20))]
+        if fom == 0.0 and n_atoms % 2 == 0:
+            # uncoupled on resonance, the states with n = -m have a zero diagonal: empty rows
+            assert any(np.any(np.diff(block.indptr) == 0) for block in blocks)
+        for block in blocks + [sparse.csr_matrix((4, 4))]:
+            assert dicke._row_sum_norm(block) == (float(np.max(np.abs(block).sum(axis=1))) or 1.0)
+
 
 class TestSymmetries:
     def test_parity_commutes_exactly(self):

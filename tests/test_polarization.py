@@ -6,17 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from dipolegauge.polarization import (
     CutoffParameter,
+    _kernel_pieces,
     longitudinal_dipole_polarization,
-    numeric_inverse_transform,
     radial_envelope,
     suppression_factor,
     total_residual_polarization,
+    total_residual_polarization_many,
     transverse_delta_k,
     transverse_delta_real_exact,
     transverse_delta_real_far,
     transverse_polarization,
 )
 from conftest import random_rotation
+from kernel_quadrature import numeric_inverse_transform
 
 MU = 1.2e10  # representative cutoff wavenumber (1/m)
 
@@ -24,6 +26,12 @@ unit_floats = st.floats(min_value=-1.0, max_value=1.0)
 vectors = st.tuples(unit_floats, unit_floats, unit_floats).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 1e-3
 )
+rotations = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_rotation(np.random.default_rng(seed)))
+
+
+def at_distance(direction, s):
+    """Separation of length s/MU along direction."""
+    return direction / np.linalg.norm(direction) * (s / MU)
 
 
 class TestRadialEnvelope:
@@ -122,9 +130,47 @@ class TestRealSpaceKernel:
         kernel = transverse_delta_real_exact(MU, x)
         assert np.array_equal(kernel, kernel.T)
 
+    @given(vectors, st.floats(min_value=0.1, max_value=10.0), rotations)
+    @settings(max_examples=40)
+    def test_rotation_covariance(self, direction, s, rotation):
+        x = at_distance(direction, s)
+        base = transverse_delta_real_exact(MU, x)
+        rotated = transverse_delta_real_exact(MU, rotation @ x)
+        assert np.linalg.norm(rotated - rotation @ base @ rotation.T) <= 1e-13 * np.linalg.norm(base)
+
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             transverse_delta_real_exact(MU, np.zeros(3))
+
+
+class TestSinglePointWrappers:
+    """Each single-point function returns its row of the batched evaluation, bit for bit."""
+
+    @given(
+        st.lists(st.tuples(vectors, st.floats(min_value=0.01, max_value=40.0)), min_size=1, max_size=9),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=40)
+    def test_kernels(self, samples, row):
+        row %= len(samples)
+        points = np.array([at_distance(direction, s) for direction, s in samples])
+        far, near = _kernel_pieces(MU, points)
+        assert np.array_equal(transverse_delta_real_far(MU, points[row]), far[row])
+        assert np.array_equal(transverse_delta_real_exact(MU, points[row]), far[row] + near[row])
+
+    @given(
+        vectors,
+        st.lists(st.tuples(vectors, st.floats(min_value=0.01, max_value=40.0)), min_size=1, max_size=9),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=40)
+    def test_residual_field(self, d_dir, samples, row):
+        row %= len(samples)
+        d = d_dir * 1e-30
+        x_a = np.array([1.0e-10, -2.0e-10, 0.5e-10])
+        points = x_a + np.array([at_distance(direction, s) for direction, s in samples])
+        many = total_residual_polarization_many(d, x_a, MU, points)
+        assert np.array_equal(total_residual_polarization(d, x_a, MU, points[row]), many[row])
 
 
 class TestNumericInverseTransform:
@@ -275,10 +321,15 @@ class TestResidualCancellation:
         envelope = 2.0 * (1.0 + s + s * s / 2.0) * math.exp(-s)
         assert np.linalg.norm(residual) <= envelope * np.linalg.norm(longitudinal) * (1.0 + 1e-9)
 
-    def test_sum_equals_parts(self):
-        d = np.array([0.6e-30, -0.2e-30, 1.4e-30])
+    @given(vectors, vectors, st.floats(min_value=0.1, max_value=5.0))
+    @settings(max_examples=40)
+    def test_sum_equals_parts(self, d_dir, x_dir, s):
+        d = d_dir * 1e-30
         x_a = np.array([1.0e-10, 2.0e-10, -0.5e-10])
-        x = x_a + np.array([0.8, -0.5, 0.3]) / MU
+        x = x_a + at_distance(x_dir, s)
         residual = total_residual_polarization(d, x_a, MU, x)
-        explicit = transverse_polarization(d, x_a, MU, x) + longitudinal_dipole_polarization(d, x_a, x)
-        assert np.allclose(residual, explicit, rtol=1e-9, atol=1e-30)
+        transverse = transverse_polarization(d, x_a, MU, x)
+        longitudinal = longitudinal_dipole_polarization(d, x_a, x)
+        # the parts cancel to about a fifth at kM r = 5, so compare against their size
+        scale = np.linalg.norm(transverse) + np.linalg.norm(longitudinal)
+        assert np.linalg.norm(residual - (transverse + longitudinal)) <= 1e-12 * scale
