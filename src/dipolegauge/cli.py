@@ -11,11 +11,10 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import BOHR_RADIUS, CONSTANTS, wavelength_to_omega
+from .constants import BOHR_RADIUS, CONSTANTS, QuadratureError, wavelength_to_omega
 from .coupling import (
     AtomSpecies,
     crystalline_comparison,
@@ -24,24 +23,13 @@ from .coupling import (
     species_critical_density,
 )
 from .cutoff_window import cutoff_window, perturbation_report
-from .dicke import (
-    DickeParams,
-    SCAN_CSV_COLUMNS,
-    scan_coupling,
-    scan_rows_to_json,
-)
-from .ensemble import (
-    intimacy_violations,
-    load_configuration,
-    min_pairwise_distance,
-    residual_overlap_energy,
-)
-from .polarization import (
-    QuadratureError,
-    radial_envelope,
-    suppression_factor,
-    transverse_delta_real_exact,
-)
+
+if TYPE_CHECKING:
+    from .dicke import ScanRow
+
+# numpy, scipy and the modules built on them (dicke, ensemble, polarization)
+# are imported inside the subcommands that use them, so critical-density
+# starts without them and the others load only what they need.
 
 SCHEMA_VERSION = 1
 # Largest figure-of-merit grid dicke-scan accepts; each point is a full ground-state solve.
@@ -78,6 +66,28 @@ def _emit(args, payload: dict | list, csv_columns=None, csv_rows=None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+SCAN_CSV_COLUMNS = ("F", "N", "n_max", "energy", "photon_fraction", "inversion", "sx2_fraction", "parity")
+
+
+def scan_rows_to_json(rows: list[ScanRow]) -> list[dict]:
+    payload = []
+    for row in rows:
+        entry = {
+            "F": row.fom,
+            "N": row.n_atoms,
+            "n_max": row.n_max,
+            "energy_rad_per_s": row.energy,
+            "photon_fraction": row.photon_fraction,
+            "inversion": row.inversion,
+            "sx2_fraction": row.sx2_fraction,
+            "parity": row.parity,
+        }
+        if row.error is not None:
+            entry["error"] = row.error
+        payload.append(entry)
+    return payload
 
 
 def _registry(args) -> dict[str, AtomSpecies]:
@@ -204,6 +214,8 @@ def cmd_critical_density(args) -> int:
 
 
 def cmd_dicke_scan(args) -> int:
+    from .dicke import DickeParams, scan_coupling
+
     grid = _parse_grid(args.F)
     if args.resonant:
         omega = omega_a = args.omega if args.omega is not None else 1.0
@@ -226,6 +238,10 @@ def cmd_dicke_scan(args) -> int:
 
 
 def cmd_polarization(args) -> int:
+    import numpy as np
+
+    from .polarization import radial_envelope, suppression_factor, transverse_delta_real_exact
+
     k_m = _cutoff_from_args(args)
     payload: dict = {"schema_version": SCHEMA_VERSION, "k_M_per_m": k_m}
     columns: list[str] = ["k_M_per_m"]
@@ -260,6 +276,10 @@ def cmd_polarization(args) -> int:
 
 
 def cmd_ensemble_check(args) -> int:
+    import numpy as np
+
+    from .ensemble import intimacy_violations, load_configuration, min_pairwise_distance, residual_overlap_energy
+
     k_m = _cutoff_from_args(args)
     config = load_configuration(args.config)
     if args.overlap is not None:

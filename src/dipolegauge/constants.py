@@ -1,9 +1,11 @@
-"""Physical constants (CODATA 2018, SI) and frequency/wavelength conversions.
+"""Physical constants (CODATA 2018, SI), conversions and the cutoff parameter.
 
 Everything downstream works in SI; eV and atomic-unit values are plain
 conversion helpers.  Values are hardcoded rather than pulled from
 scipy.constants so results do not shift with the CODATA revision shipped
-by the installed scipy.
+by the installed scipy.  The cutoff wavenumber type and QuadratureError
+live here too: they need only the standard library, and every module
+imports this one.
 """
 
 from __future__ import annotations
@@ -93,5 +95,36 @@ def joule_to_ev(energy: float) -> float:
     return energy / ELEMENTARY_CHARGE
 
 
-def ev_to_joule(energy_ev: float) -> float:
-    return energy_ev * ELEMENTARY_CHARGE
+# ---------------------------------------------------------------------------
+# Cutoff wavenumber and quadrature failure, shared by every module
+# ---------------------------------------------------------------------------
+
+
+class QuadratureError(RuntimeError):
+    """Raised when a quadrature cannot reach the requested accuracy."""
+
+    def __init__(self, message: str, achieved_error: float):
+        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
+        self.achieved_error = achieved_error
+
+
+@dataclass(frozen=True)
+class CutoffParameter:
+    """Cutoff wavenumber of the Lorentzian k-space filter (1/m)."""
+
+    k_m: float
+
+    def __post_init__(self):
+        _cutoff_value(self.k_m)
+
+    @classmethod
+    def from_inverse_bohr(cls, value: float) -> "CutoffParameter":
+        return cls(value / BOHR_RADIUS)
+
+
+def _cutoff_value(k_m) -> float:
+    """Accept either a CutoffParameter or a bare wavenumber in 1/m."""
+    k = float(getattr(k_m, "k_m", k_m))
+    if not (k > 0.0 and math.isfinite(k)):
+        raise ValueError(f"cutoff wavenumber must be positive and finite, got {k}")
+    return k

@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
-from .constants import CONSTANTS
-from .polarization import QuadratureError, _cutoff_value
+from .constants import CONSTANTS, QuadratureError, _cutoff_value
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -71,6 +68,8 @@ def hydrogen_first_order_shift(k_m) -> float:
 
 
 def _hydrogen_shift_quad(k_m, tol: float) -> tuple[float, float]:
+    from scipy import integrate  # here, not at module level: scipy.integrate dominates start-up
+
     mu = _cutoff_value(k_m)
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")

@@ -507,29 +507,3 @@ def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | N
             return f0 + (row.fom - f0) * (threshold - y0) / (row.photon_fraction - y0)
         previous = (row.fom, row.photon_fraction)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Scan serialization
-# ---------------------------------------------------------------------------
-
-SCAN_CSV_COLUMNS = ("F", "N", "n_max", "energy", "photon_fraction", "inversion", "sx2_fraction", "parity")
-
-
-def scan_rows_to_json(rows: list[ScanRow]) -> list[dict]:
-    payload = []
-    for row in rows:
-        entry = {
-            "F": row.fom,
-            "N": row.n_atoms,
-            "n_max": row.n_max,
-            "energy_rad_per_s": row.energy,
-            "photon_fraction": row.photon_fraction,
-            "inversion": row.inversion,
-            "sx2_fraction": row.sx2_fraction,
-            "parity": row.parity,
-        }
-        if row.error is not None:
-            entry["error"] = row.error
-        payload.append(entry)
-    return payload

@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, QuadratureError, _cutoff_value
 from .coupling import AtomSpecies, FigureOfMeritReport, fom_density_q
-from .polarization import QuadratureError, _cutoff_value
 
 
 def _nearest_neighbour_distances(positions: np.ndarray) -> np.ndarray:
@@ -52,7 +51,8 @@ class AtomConfiguration:
         if self.volume <= 0.0:
             raise ValueError(f"volume must be positive, got {self.volume}")
         if len(positions) >= 2 and np.min(_nearest_neighbour_distances(positions)) == 0.0:
-            raise ValueError("positions must be pairwise distinct")
+            # distances come from squared differences, which underflow to 0 below about 1e-154 m
+            raise ValueError("positions must be pairwise distinct (atoms closer than about 1e-154 m coincide)")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "dipoles", dipoles)
 
@@ -125,14 +125,17 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
 
     |dA| |dB| kM^3/(8 pi eps0) * exp(-x) * (2x^3 + 4x^2 + 8x + 8)/x^3 with
     x = kM * separation; a triangle-inequality bound over all dipole
-    orientations on the exact cross integral.
+    orientations on the exact cross integral.  The magnitudes enter as
+    mantissa and power of two, so the bound is rounded into the subnormal
+    range at most once, at the end, however small they are.
     """
     mu = _cutoff_value(k_m)
     if separation <= 0.0:
         raise ValueError(f"separation must be positive, got {separation}")
     x = mu * separation
     poly = (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0) / x**3
-    return abs(d_a) * abs(d_b) * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly
+    (f_a, e_a), (f_b, e_b) = math.frexp(abs(d_a)), math.frexp(abs(d_b))
+    return math.ldexp(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b)
 
 
 def residual_overlap_energy(
@@ -157,6 +160,12 @@ def residual_overlap_energy(
     machine epsilon times it: error_estimate = (16 + x) eps * bound, the x
     carrying the rounding of x itself through exp(-x).
 
+    Each dipole is scaled by a power of two to a magnitude in [0.5, 1),
+    which is exact, and the energy is scaled back in one last step, so
+    tiny dipoles neither underflow early nor change the bits of a result
+    in the normal range.  Magnitudes come from math.hypot, which scales
+    internally; a plain norm squares them to 0 below about 1e-154 C*m.
+
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself
     nearly zero; QuadratureError is raised when the rounding bound
@@ -170,8 +179,10 @@ def residual_overlap_energy(
         raise ValueError("pair indices must be distinct")
     if not (0 <= i < len(config) and 0 <= j < len(config)):
         raise ValueError(f"pair {pair} out of range for {len(config)} atoms")
-    d_a = config.dipoles[i]
-    d_b = config.dipoles[j]
+    m_a, m_b = math.hypot(*config.dipoles[i]), math.hypot(*config.dipoles[j])
+    (_, e_a), (_, e_b) = math.frexp(m_a), math.frexp(m_b)
+    d_a = np.ldexp(config.dipoles[i], -e_a)
+    d_b = np.ldexp(config.dipoles[j], -e_b)
     axis = config.positions[j] - config.positions[i]
     separation = float(np.linalg.norm(axis))
     n = axis / separation
@@ -180,8 +191,8 @@ def residual_overlap_energy(
     prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)
     axial = (x**3 + 3.0 * x**2 + 6.0 * x + 6.0) * float(n @ d_a) * float(n @ d_b)
-    energy = prefactor * (isotropic - axial)
-    bound = overlap_envelope_bound(float(np.linalg.norm(d_a)), float(np.linalg.norm(d_b)), mu, separation)
+    energy = math.ldexp(prefactor * (isotropic - axial), e_a + e_b)
+    bound = overlap_envelope_bound(m_a, m_b, mu, separation)
     error_estimate = (16.0 + x) * np.finfo(float).eps * bound
     if error_estimate > tol * bound:
         raise QuadratureError("overlap closed form cannot reach the requested tolerance", error_estimate)

@@ -19,46 +19,15 @@ longitudinal and residual polarization fields of a point dipole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
+from .constants import CutoffParameter, QuadratureError, _cutoff_value  # the two classes re-exported
+
 FT_PREFACTOR = (2.0 * math.pi) ** -1.5  # symmetric Fourier convention
 
 _IDENTITY3 = np.eye(3)
-
-
-class QuadratureError(RuntimeError):
-    """Raised when a quadrature cannot reach the requested accuracy."""
-
-    def __init__(self, message: str, achieved_error: float):
-        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
-        self.achieved_error = achieved_error
-
-
-@dataclass(frozen=True)
-class CutoffParameter:
-    """Cutoff wavenumber of the Lorentzian k-space filter (1/m)."""
-
-    k_m: float
-
-    def __post_init__(self):
-        _cutoff_value(self.k_m)
-
-    @classmethod
-    def from_inverse_bohr(cls, value: float) -> "CutoffParameter":
-        from .constants import BOHR_RADIUS
-
-        return cls(value / BOHR_RADIUS)
-
-
-def _cutoff_value(k_m) -> float:
-    """Accept either a CutoffParameter or a bare wavenumber in 1/m."""
-    k = float(getattr(k_m, "k_m", k_m))
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"cutoff wavenumber must be positive and finite, got {k}")
-    return k
 
 
 def _vector(x) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 from kron_hamiltonian import kron_hamiltonian
 
 from dipolegauge import cli, dicke
@@ -141,12 +142,18 @@ class TestGroundState:
 
 
 class TestSymmetries:
-    def test_parity_commutes_exactly(self):
-        for rwa in (False, True):
-            p = params(n_atoms=8, fom=1.4, rwa=rwa, n_max=20)  # dimension 189 <= 500
-            h = build_hamiltonian(p).toarray()
-            pi = np.diag(parity_diagonal(p))
-            assert np.max(np.abs(h @ pi - pi @ h)) == 0.0
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=30),  # dimension at most 13 * 31 = 403
+        st.floats(min_value=0.0, max_value=3.0),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_parity_commutes_exactly(self, n_atoms, n_max, fom, rwa):
+        p = params(n_atoms=n_atoms, fom=fom, rwa=rwa, n_max=n_max)
+        h = build_hamiltonian(p).toarray()
+        pi = np.diag(parity_diagonal(p))
+        assert np.max(np.abs(h @ pi - pi @ h)) == 0.0
 
     def test_excitation_number_conserved_under_rwa(self):
         p = params(n_atoms=10, fom=0.8, rwa=True, n_max=20)  # dimension 231 <= 500
@@ -352,7 +359,7 @@ class TestCrossingEstimate:
 class TestSerialization:
     @staticmethod
     def scan_output(monkeypatch, capsys, rows, *options):
-        monkeypatch.setattr(cli, "scan_coupling", lambda template, grid, max_workers=1: rows)
+        monkeypatch.setattr(dicke, "scan_coupling", lambda template, grid, max_workers=1: rows)
         code = cli.main(["dicke-scan", "--N", "4", "--F", "0.5", "--resonant", *options])
         return code, capsys.readouterr().out
 

@@ -25,13 +25,18 @@ from overlap_quadrature import quadrature_overlap_energy
 
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS
+SUBNORMAL = math.ulp(0.0)  # spacing of the floats that underflow
 
-# Components and coordinates on a 0.01 grid (dipoles in units of D0, positions
-# in units of 1/kM), so products stay far from underflow; the positions are
-# lattice-like, and some pairs fall inside 2/kM.
+# Directions and coordinates on a 0.01 grid (positions in units of 1/kM); the
+# positions are lattice-like, and some pairs fall inside 2/kM.  Dipole
+# magnitudes are log-uniform over 1e-300..1e-20 C*m, far enough down that
+# every square, and many products and energies, underflow.
 grid = st.integers(min_value=-100, max_value=100).map(lambda k: k / 100.0)
 grid_vectors = st.tuples(grid, grid, grid).map(np.array)
 directions = grid_vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
+dipole_vectors = st.tuples(st.floats(min_value=-300.0, max_value=-20.0), directions).map(
+    lambda draw: 10.0 ** draw[0] * draw[1] / np.linalg.norm(draw[1])
+)
 coordinates = st.integers(min_value=-400, max_value=400).map(lambda k: k / 100.0)
 atom_sites = st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8, unique=True)
 
@@ -261,24 +266,36 @@ class TestOverlapEnergy:
         expected = D0 * D0 * MU**3 / (8 * math.pi * CONSTANTS.eps0) * math.exp(-x) * expected_poly
         assert bound == pytest.approx(expected, rel=1e-12)
 
-    @given(grid_vectors, grid_vectors, directions, st.floats(min_value=2.0, max_value=20.0), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60)
+    @given(dipole_vectors, dipole_vectors, directions, st.floats(min_value=2.0, max_value=20.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
     def test_swap_and_rotation_properties(self, d_a, d_b, direction, x, seed):
-        config = pair_config(x / MU, D0 * d_a, D0 * d_b, direction)
+        config = pair_config(x / MU, d_a, d_b, direction)
         report = residual_overlap_energy(config, (0, 1), MU)
         assert abs(report.overlap_energy) <= report.bound + report.error_estimate
+        # A result that underflows is rounded to a multiple of the smallest
+        # subnormal, so near-equal values may differ by one of those.
         swapped = residual_overlap_energy(config, (1, 0), MU)
         assert swapped.overlap_energy == pytest.approx(
-            report.overlap_energy, abs=report.error_estimate + swapped.error_estimate
+            report.overlap_energy, abs=report.error_estimate + swapped.error_estimate + SUBNORMAL
         )
         # Rotating the inputs rounds them by a few ulps; at kM r <= 20 that
         # moves the energy by far less than 1e-12 of the bound.
         rotation = random_rotation(np.random.default_rng(seed))
         rotated = residual_overlap_energy(
-            pair_config(x / MU, rotation @ (D0 * d_a), rotation @ (D0 * d_b), rotation @ direction), (0, 1), MU
+            pair_config(x / MU, rotation @ d_a, rotation @ d_b, rotation @ direction), (0, 1), MU
         )
-        assert rotated.bound == pytest.approx(report.bound, rel=1e-12)
-        assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound)
+        assert rotated.bound == pytest.approx(report.bound, rel=1e-12, abs=SUBNORMAL)
+        assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound + SUBNORMAL)
+
+    def test_tiny_dipole_keeps_its_bound(self):
+        # Squaring a dipole this small underflows to 0, which once gave a zero
+        # bound beside a nonzero energy (d_B = 3.4e-233 e*a0, found by hypothesis).
+        d = D0 * np.array([1.0, 0.0, 0.0])
+        tiny = residual_overlap_energy(pair_config(2.0 / MU, d, 3.4e-233 * d), (0, 1), MU)
+        unit = residual_overlap_energy(pair_config(2.0 / MU, d, d), (0, 1), MU)
+        assert 0.0 < abs(tiny.overlap_energy) <= tiny.bound
+        assert tiny.overlap_energy == pytest.approx(3.4e-233 * unit.overlap_energy, rel=1e-14)
+        assert tiny.bound == pytest.approx(3.4e-233 * unit.bound, rel=1e-14)
 
 
 class TestConfigurationFile:
