@@ -288,7 +288,7 @@ class TestOverlapEnergy:
         assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound + SUBNORMAL)
 
     def test_tiny_dipole_keeps_its_bound(self):
-        # Squaring a dipole this small underflows to 0, which once gave a zero
+        # A plain norm squares a dipole this small to 0, and so gives a zero
         # bound beside a nonzero energy (d_B = 3.4e-233 e*a0, found by hypothesis).
         d = D0 * np.array([1.0, 0.0, 0.0])
         tiny = residual_overlap_energy(pair_config(2.0 / MU, d, 3.4e-233 * d), (0, 1), MU)
