@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "dicke": (
         "DickeParams", "GroundStateReport", "ScanRow", "build_hamiltonian", "crossing_estimate",
-        "fock_convergence", "ground_state", "meanfield_order_parameter", "observables", "scan_coupling",
+        "ground_state", "meanfield_order_parameter", "observables", "scan_coupling",
     ),
     "ensemble": (
         "AtomConfiguration", "OverlapReport", "config_figure_of_merit", "intimacy_violations",

@@ -11,10 +11,9 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__
-from .constants import BOHR_RADIUS, CONSTANTS, QuadratureError, wavelength_to_omega
+from .constants import BOHR_RADIUS, CONSTANTS, wavelength_to_omega
 from .coupling import (
     AtomSpecies,
     crystalline_comparison,
@@ -23,9 +22,6 @@ from .coupling import (
     species_critical_density,
 )
 from .cutoff_window import cutoff_window, perturbation_report
-
-if TYPE_CHECKING:
-    from .dicke import ScanRow
 
 # numpy, scipy and the modules built on them (dicke, ensemble, polarization)
 # are imported inside the subcommands that use them, so critical-density
@@ -50,13 +46,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, payload: dict | list, csv_columns=None, csv_rows=None) -> None:
-    """Write the report as JSON, or as CSV when columns are provided."""
+def _emit(args, payload: dict, csv_columns: list[str], csv_rows: list[list]) -> None:
+    """Write the report as JSON, or as CSV with one header line and one line per row."""
     if args.format == "json":
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        if csv_columns is None:
-            raise CliError("csv output is not available for this subcommand")
         lines = [",".join(csv_columns)]
         for row in csv_rows:
             lines.append(",".join(_fmt(cell) for cell in row))
@@ -68,26 +62,17 @@ def _emit(args, payload: dict | list, csv_columns=None, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
-SCAN_CSV_COLUMNS = ("F", "N", "n_max", "energy", "photon_fraction", "inversion", "sx2_fraction", "parity")
-
-
-def scan_rows_to_json(rows: list[ScanRow]) -> list[dict]:
-    payload = []
-    for row in rows:
-        entry = {
-            "F": row.fom,
-            "N": row.n_atoms,
-            "n_max": row.n_max,
-            "energy_rad_per_s": row.energy,
-            "photon_fraction": row.photon_fraction,
-            "inversion": row.inversion,
-            "sx2_fraction": row.sx2_fraction,
-            "parity": row.parity,
-        }
-        if row.error is not None:
-            entry["error"] = row.error
-        payload.append(entry)
-    return payload
+# dicke-scan output fields in order: (JSON key, CSV column, ScanRow attribute)
+SCAN_FIELDS = (
+    ("F", "F", "fom"),
+    ("N", "N", "n_atoms"),
+    ("n_max", "n_max", "n_max"),
+    ("energy_rad_per_s", "energy", "energy"),
+    ("photon_fraction", "photon_fraction", "photon_fraction"),
+    ("inversion", "inversion", "inversion"),
+    ("sx2_fraction", "sx2_fraction", "sx2_fraction"),
+    ("parity", "parity", "parity"),
+)
 
 
 def _registry(args) -> dict[str, AtomSpecies]:
@@ -228,12 +213,13 @@ def cmd_dicke_scan(args) -> int:
     for row in rows:
         if row.error is not None:
             print(f"dicke-scan: F={row.fom}: {row.error}", file=sys.stderr)
-    payload = {"schema_version": SCHEMA_VERSION, "rows": scan_rows_to_json(rows)}
-    csv_rows = [
-        [row.fom, row.n_atoms, row.n_max, row.energy, row.photon_fraction, row.inversion, row.sx2_fraction, row.parity]
-        for row in rows
-    ]
-    _emit(args, payload, csv_columns=list(SCAN_CSV_COLUMNS), csv_rows=csv_rows)
+    cells = [[getattr(row, attr) for _, _, attr in SCAN_FIELDS] for row in rows]
+    entries = [dict(zip((key for key, _, _ in SCAN_FIELDS), values)) for values in cells]
+    for row, entry in zip(rows, entries):
+        if row.error is not None:
+            entry["error"] = row.error
+    payload = {"schema_version": SCHEMA_VERSION, "rows": entries}
+    _emit(args, payload, csv_columns=[column for _, column, _ in SCAN_FIELDS], csv_rows=cells)
     return 1 if any(row.error is not None for row in rows) else 0
 
 
@@ -396,10 +382,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"dipolegauge: invalid input: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"dipolegauge: computation failed: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # QuadratureError, solver and truncation failures
         print(f"dipolegauge: computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Physical constants (CODATA 2018, SI), conversions and the cutoff parameter.
 
-Everything downstream works in SI; eV and atomic-unit values are plain
-conversion helpers.  Values are hardcoded rather than pulled from
+Everything downstream works in SI; atomic-unit scales are derived
+fields of the constant set.  Values are hardcoded rather than pulled from
 scipy.constants so results do not shift with the CODATA revision shipped
 by the installed scipy.  The cutoff wavenumber type and QuadratureError
 live here too: they need only the standard library, and every module
@@ -82,17 +82,6 @@ def wavelength_to_omega(lam: float) -> float:
     if lam <= 0.0:
         raise ValueError(f"wavelength must be positive, got {lam}")
     return 2.0 * math.pi * SPEED_OF_LIGHT / lam
-
-
-def omega_to_wavelength(omega: float) -> float:
-    """Angular frequency (rad/s) -> vacuum wavelength (m)."""
-    if omega <= 0.0:
-        raise ValueError(f"angular frequency must be positive, got {omega}")
-    return 2.0 * math.pi * SPEED_OF_LIGHT / omega
-
-
-def joule_to_ev(energy: float) -> float:
-    return energy / ELEMENTARY_CHARGE
 
 
 # ---------------------------------------------------------------------------

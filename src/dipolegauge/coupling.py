@@ -175,14 +175,6 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
     return math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / omega_a**3)
 
 
-def linewidth_from_dipole(omega_a: float, d: float) -> float:
-    """Angular half width at half maximum for a given dipole moment (rad/s)."""
-    if omega_a <= 0.0 or d < 0.0:
-        raise ValueError("frequency must be positive and dipole nonnegative")
-    c = CONSTANTS
-    return omega_a**3 * d * d / (6.0 * math.pi * c.eps0 * c.hbar * c.c**3)
-
-
 def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
     """Resonance quality factor omega_A / gamma_hwhm."""
     if omega_a <= 0.0 or gamma_hwhm <= 0.0:
@@ -246,29 +238,21 @@ def _species_from_row(row: dict, where: str) -> AtomSpecies:
     )
 
 
-def _parse_registry_csv(text: str, source: str) -> dict[str, AtomSpecies]:
+def _csv_records(text: str, source: str):
+    """(where, row) for each data line of a CSV registry; nothing for an empty file."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        warnings.warn(f"{source}: empty species registry", stacklevel=3)
-        return {}
-    missing = set(_CSV_FIELDS) - set(reader.fieldnames)
-    if missing:
-        raise RegistryError(f"{source}: missing columns {sorted(missing)}")
-    registry: dict[str, AtomSpecies] = {}
+    if reader.fieldnames is not None:
+        missing = set(_CSV_FIELDS) - set(reader.fieldnames)
+        if missing:
+            raise RegistryError(f"{source}: missing columns {sorted(missing)}")
     for line_no, row in enumerate(reader, start=2):
-        species = _species_from_row(row, f"{source}:{line_no}")
-        if species.name in registry:
-            raise RegistryError(f"{source}:{line_no}: duplicate species {species.name!r}")
-        registry[species.name] = species
-    if not registry:
-        warnings.warn(f"{source}: empty species registry", stacklevel=3)
-    return registry
+        yield f"{source}:{line_no}", row
 
 
-def _parse_registry_json(text: str, source: str) -> dict[str, AtomSpecies]:
+def _json_records(text: str, source: str):
+    """(where, row) for each record of a JSON registry; nothing for a blank file."""
     if not text.strip():
-        warnings.warn(f"{source}: empty species registry", stacklevel=3)
-        return {}
+        return
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -276,13 +260,19 @@ def _parse_registry_json(text: str, source: str) -> dict[str, AtomSpecies]:
     rows = payload.get("species") if isinstance(payload, dict) else payload
     if not isinstance(rows, list):
         raise RegistryError(f"{source}: expected a list of species records")
-    registry: dict[str, AtomSpecies] = {}
     for index, row in enumerate(rows):
         if not isinstance(row, dict):
             raise RegistryError(f"{source}: record {index} is not an object")
-        species = _species_from_row(row, f"{source}: record {index}")
+        yield f"{source}: record {index}", row
+
+
+def _ingest(records, source: str) -> dict[str, AtomSpecies]:
+    """Registry from (where, row) records: one species per row, names unique."""
+    registry: dict[str, AtomSpecies] = {}
+    for where, row in records:
+        species = _species_from_row(row, where)
         if species.name in registry:
-            raise RegistryError(f"{source}: duplicate species {species.name!r}")
+            raise RegistryError(f"{where}: duplicate species {species.name!r}")
         registry[species.name] = species
     if not registry:
         warnings.warn(f"{source}: empty species registry", stacklevel=3)
@@ -293,12 +283,11 @@ def load_species_registry(path) -> dict[str, AtomSpecies]:
     """Load a registry file (CSV, or JSON when the suffix is .json)."""
     p = Path(path)
     text = p.read_text(encoding="utf-8")
-    if p.suffix.lower() == ".json":
-        return _parse_registry_json(text, str(p))
-    return _parse_registry_csv(text, str(p))
+    records = _json_records if p.suffix.lower() == ".json" else _csv_records
+    return _ingest(records(text, str(p)), str(p))
 
 
 def default_species_registry() -> dict[str, AtomSpecies]:
     """Registry shipped with the package (alkali D2 lines plus hydrogen)."""
     text = resources.files("dipolegauge.data").joinpath("species.csv").read_text(encoding="utf-8")
-    return _parse_registry_csv(text, "builtin species.csv")
+    return _ingest(_csv_records(text, "builtin species.csv"), "builtin species.csv")

@@ -33,6 +33,7 @@ FOCK_SCHEDULE_CAP = 512
 FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
+RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
 
 
 class SolverConvergenceError(RuntimeError):
@@ -48,7 +49,7 @@ class FockTruncationError(RuntimeError):
 
 
 class DimensionError(ValueError):
-    """Requested matrix exceeds the configured dimension cap."""
+    """Requested matrix exceeds DEFAULT_DIMENSION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ _STEPS = ((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1))
 _STEPS_RWA = ((-1, 1), (0, 0), (1, -1))
 
 
-def _row_entries(p: DickeParams, dimension_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns, values and presence of every stored entry, each (dimension, steps).
 
     Row n (N+1) + j lists its entries in ascending column order, so dropping
@@ -161,11 +162,8 @@ def _row_entries(p: DickeParams, dimension_cap: int) -> tuple[np.ndarray, np.nda
     (half the S+ one) or, under rwa, the S+ element.  Symmetric pairs take
     the same float values, so H equals its transpose exactly.
     """
-    if p.dimension > dimension_cap:
-        raise DimensionError(
-            f"dimension {p.dimension} exceeds cap {dimension_cap}; "
-            "raise dimension_cap explicitly if this size is intended"
-        )
+    if p.dimension > DEFAULT_DIMENSION_CAP:
+        raise DimensionError(f"dimension {p.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
     n_ph = p.n_max + 1
     n_sp = p.n_atoms + 1
     s = p.n_atoms / 2.0
@@ -205,9 +203,9 @@ def _csr(indices: np.ndarray, data: np.ndarray, present: np.ndarray) -> sparse.c
     return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def build_hamiltonian(p: DickeParams, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_matrix:
+def build_hamiltonian(p: DickeParams) -> sparse.csr_matrix:
     """Sparse symmetric Hamiltonian on |n> (x) |N/2, m>, photon index major."""
-    columns, values, present = _row_entries(p, dimension_cap)
+    columns, values, present = _row_entries(p)
     return _csr(columns[present], values[present], present)
 
 
@@ -219,7 +217,7 @@ def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_mat
     without the full matrix: the coupling changes n + j by 0 or +/-2, so
     every row's entries lie in its own sector.
     """
-    columns, values, present = _row_entries(p, DEFAULT_DIMENSION_CAP)
+    columns, values, present = _row_entries(p)
     parity = parity_diagonal(p)
     sectors = [np.flatnonzero(parity == sign) for sign in (1.0, -1.0)]
     local = np.empty(p.dimension, dtype=np.intp)
@@ -239,13 +237,6 @@ def parity_diagonal(p: DickeParams) -> np.ndarray:
     return np.kron(ph, sp)
 
 
-def excitation_diagonal(p: DickeParams) -> np.ndarray:
-    """Diagonal of a'a + S_z + N/2 (integers; conserved under rwa)."""
-    ph = np.arange(p.n_max + 1, dtype=float)
-    sp = np.arange(p.n_atoms + 1, dtype=float)
-    return (ph[:, None] + sp[None, :]).ravel()
-
-
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     pivot = int(np.argmax(np.abs(vec)))
     return -vec if vec[pivot] < 0.0 else vec
@@ -263,7 +254,7 @@ def _row_sum_norm(h: sparse.csr_matrix) -> float:
     return float(np.add.reduceat(np.abs(h.data), starts).max()) or 1.0
 
 
-def ground_state(h, tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a real symmetric matrix.
 
     Iterative Lanczos (ARPACK) with a fixed seeded pseudorandom start
@@ -296,7 +287,7 @@ def _lowest_eigenpair(h: sparse.csr_matrix, scale: float, tol: float) -> tuple[f
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
-def ground_state_sectored(p: DickeParams, tol: float = 1e-10) -> tuple[float, np.ndarray, bool]:
+def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     """Ground state resolved per parity sector.
 
     Solves each sector separately and returns the lower one (ties go to
@@ -310,7 +301,7 @@ def ground_state_sectored(p: DickeParams, tol: float = 1e-10) -> tuple[float, np
     scale = max(norms)
     results = []
     for (idx, block), norm in zip(sectors, norms):
-        energy, vec = _lowest_eigenpair(block, norm, tol)
+        energy, vec = _lowest_eigenpair(block, norm, RESIDUAL_TOL)
         full = np.zeros(p.dimension)
         full[idx] = vec
         results.append((energy, full))
@@ -320,14 +311,11 @@ def ground_state_sectored(p: DickeParams, tol: float = 1e-10) -> tuple[float, np
     return energy, vec, near_degenerate
 
 
-def observables(
-    state: np.ndarray,
-    p: DickeParams,
-    energy: float | None = None,
-    h: sparse.csr_matrix | None = None,
-    near_degenerate: bool = False,
-) -> GroundStateReport:
-    """Expectation values of a normalized state in the product basis."""
+def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
+    """Expectation values of a normalized state in the product basis.
+
+    energy is the eigenvalue that came with the state and is reported as given.
+    """
     vec = np.asarray(state, dtype=float)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
@@ -339,10 +327,6 @@ def observables(
     m_values = np.arange(p.n_atoms + 1, dtype=float) - p.n_atoms / 2.0
     sx = _spin_x(p.n_atoms)
     sx2 = sx @ sx
-    if energy is None:
-        if h is None:
-            h = build_hamiltonian(p)
-        energy = float(vec @ (h @ vec))
     parity = float(
         ((1.0 - 2.0 * (np.arange(p.n_max + 1) % 2)) @ (psi**2)) @ (1.0 - 2.0 * (np.arange(p.n_atoms + 1) % 2))
     )
@@ -358,14 +342,6 @@ def observables(
         converged_n_max=p.n_max,
         near_degenerate=near_degenerate,
     )
-
-
-def mode_displacement(state: np.ndarray, p: DickeParams) -> float:
-    """<a + a'> of a state (vanishes for parity-definite states)."""
-    psi = np.asarray(state, dtype=float).reshape(p.n_max + 1, p.n_atoms + 1)
-    ladder = np.sqrt(np.arange(1, p.n_max + 1, dtype=float))
-    shifted = psi[1:] * ladder[:, None]
-    return 2.0 * float(np.sum(psi[:-1] * shifted))
 
 
 def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float:
@@ -384,54 +360,35 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
 
 
-def _converged_ground(
-    p: DickeParams,
-    tol: float = 1e-10,
-    start: int = FOCK_SCHEDULE_START,
-    cap: int = FOCK_SCHEDULE_CAP,
-    fraction_tol: float = FRACTION_TOL,
-    top_tol: float = TOP_POPULATION_TOL,
-) -> tuple[GroundStateReport, np.ndarray]:
+def _converged_ground(p: DickeParams) -> GroundStateReport:
     """Walk a doubling Fock schedule until the photon fraction settles.
 
-    Accepts the smallest truncation whose top-layer weight is below
-    top_tol and whose photon fraction moves by less than fraction_tol when
-    the truncation is doubled.
+    Starting at FOCK_SCHEDULE_START, accepts the smallest truncation whose
+    top-layer weight is below TOP_POPULATION_TOL and whose photon fraction
+    moves by less than FRACTION_TOL when the truncation is doubled; gives
+    up past FOCK_SCHEDULE_CAP.
     """
-    previous: tuple[GroundStateReport, np.ndarray] | None = None
-    n_max = start
-    while n_max <= cap:
+    previous: GroundStateReport | None = None
+    n_max = FOCK_SCHEDULE_START
+    while n_max <= FOCK_SCHEDULE_CAP:
         candidate = replace(p, n_max=n_max)
-        energy, vec, near = ground_state_sectored(candidate, tol=tol)
-        report = observables(vec, candidate, energy=energy, near_degenerate=near)
-        if previous is not None:
-            prev_report, prev_vec = previous
-            if (
-                prev_report.top_fock_population < top_tol
-                and abs(report.photon_fraction - prev_report.photon_fraction) < fraction_tol
-            ):
-                return prev_report, prev_vec
-        previous = (report, vec)
+        energy, vec, near = ground_state_sectored(candidate)
+        report = observables(vec, candidate, energy, near_degenerate=near)
+        if (
+            previous is not None
+            and previous.top_fock_population < TOP_POPULATION_TOL
+            and abs(report.photon_fraction - previous.photon_fraction) < FRACTION_TOL
+        ):
+            return previous
+        previous = report
         n_max *= 2
     raise FockTruncationError(
-        f"no Fock truncation up to {cap} met the convergence criteria "
+        f"no Fock truncation up to {FOCK_SCHEDULE_CAP} met the convergence criteria "
         f"(fom {p.figure_of_merit:.3g}, N {p.n_atoms})"
     )
 
 
-def fock_convergence(
-    p: DickeParams,
-    start: int = FOCK_SCHEDULE_START,
-    cap: int = FOCK_SCHEDULE_CAP,
-    fraction_tol: float = FRACTION_TOL,
-    top_tol: float = TOP_POPULATION_TOL,
-) -> int:
-    """Smallest truncation in the doubling schedule meeting the criteria."""
-    report, _ = _converged_ground(p, start=start, cap=cap, fraction_tol=fraction_tol, top_tol=top_tol)
-    return report.converged_n_max
-
-
-def _scan_one(template: DickeParams, fom: float, tol: float) -> ScanRow:
+def _scan_one(template: DickeParams, fom: float) -> ScanRow:
     try:
         p = DickeParams.from_figure_of_merit(
             n_atoms=template.n_atoms,
@@ -440,7 +397,7 @@ def _scan_one(template: DickeParams, fom: float, tol: float) -> ScanRow:
             omega_a=template.omega_a,
             rwa=template.rwa,
         )
-        report, _ = _converged_ground(p, tol=tol)
+        report = _converged_ground(p)
     except (SolverConvergenceError, FockTruncationError, DimensionError) as exc:
         return ScanRow(
             fom=fom,
@@ -465,12 +422,7 @@ def _scan_one(template: DickeParams, fom: float, tol: float) -> ScanRow:
     )
 
 
-def scan_coupling(
-    template: DickeParams,
-    fom_grid,
-    tol: float = 1e-10,
-    max_workers: int = 1,
-) -> list[ScanRow]:
+def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list[ScanRow]:
     """Converged ground-state observables over a figure-of-merit grid.
 
     Rows are ordered by the figure of merit; each grid point converges its
@@ -486,8 +438,8 @@ def scan_coupling(
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda f: _scan_one(template, f, tol), grid))
-    return [_scan_one(template, f, tol) for f in grid]
+            return list(pool.map(lambda f: _scan_one(template, f), grid))
+    return [_scan_one(template, f) for f in grid]
 
 
 def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | None:

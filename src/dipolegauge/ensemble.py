@@ -109,6 +109,23 @@ def config_figure_of_merit(config: AtomConfiguration, species: AtomSpecies) -> F
     return fom_density_q(len(config) / config.volume, species.lambda_a, species.quality)
 
 
+# Smallest kM * separation the pair overlap accepts: the closed form divides
+# by (kM r)^3, which leaves the normal floats below about 1e-102 and
+# underflows to 0 below about 1e-108.
+MIN_SCALED_SEPARATION = 1e-100
+
+
+def _scaled_separation(mu: float, separation: float) -> float:
+    """kM * separation, rejected below MIN_SCALED_SEPARATION."""
+    x = mu * separation
+    if not x >= MIN_SCALED_SEPARATION:  # NaN included
+        raise ValueError(
+            f"kM * separation is {x:.3g}; the pair overlap needs at least {MIN_SCALED_SEPARATION:g}, "
+            "below which (kM r)^3 underflows"
+        )
+    return x
+
+
 @dataclass(frozen=True)
 class OverlapReport:
     """Residual pair overlap energy with its analytic envelope bound."""
@@ -130,9 +147,7 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
     range at most once, at the end, however small they are.
     """
     mu = _cutoff_value(k_m)
-    if separation <= 0.0:
-        raise ValueError(f"separation must be positive, got {separation}")
-    x = mu * separation
+    x = _scaled_separation(mu, separation)
     poly = (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0) / x**3
     (f_a, e_a), (f_b, e_b) = math.frexp(abs(d_a)), math.frexp(abs(d_b))
     return math.ldexp(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b)
@@ -166,6 +181,9 @@ def residual_overlap_energy(
     in the normal range.  Magnitudes come from math.hypot, which scales
     internally; a plain norm squares them to 0 below about 1e-154 C*m.
 
+    kM r below MIN_SCALED_SEPARATION raises ValueError, since the closed
+    form divides by (kM r)^3.
+
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself
     nearly zero; QuadratureError is raised when the rounding bound
@@ -185,8 +203,8 @@ def residual_overlap_energy(
     d_b = np.ldexp(config.dipoles[j], -e_b)
     axis = config.positions[j] - config.positions[i]
     separation = float(np.linalg.norm(axis))
+    x = _scaled_separation(mu, separation)
     n = axis / separation
-    x = mu * separation
 
     prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)

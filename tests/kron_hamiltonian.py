@@ -1,4 +1,4 @@
-"""Kronecker-product assembly of the Dicke Hamiltonian: the oracle for the sector build.
+"""Dicke-model oracles: the Kronecker-product Hamiltonian and two symmetry operators.
 
 dipolegauge.dicke generates the matrix entries of each parity block from
 index arithmetic; this module assembles the whole matrix from the photon
@@ -6,6 +6,10 @@ and spin operators with sparse Kronecker products and sparse sums, so the
 two share nothing but the model.  The sums drop every entry that adds up to
 zero (on resonance omega n + omega_A m vanishes at n = -m; at g = 0 every
 coupling does), which the direct build must reproduce.
+
+excitation_diagonal and mode_displacement check the number conservation
+of the rotating-wave coupling and the vanishing <a + a'> of parity-definite
+ground states.
 """
 
 from __future__ import annotations
@@ -63,3 +67,18 @@ def kron_hamiltonian(p: DickeParams) -> sparse.csr_matrix:
     # the sums keep.  A stored zero adds nothing to any product.
     h.eliminate_zeros()
     return h
+
+
+def excitation_diagonal(p: DickeParams) -> np.ndarray:
+    """Diagonal of a'a + S_z + N/2 (integers; conserved under rwa)."""
+    ph = np.arange(p.n_max + 1, dtype=float)
+    sp = np.arange(p.n_atoms + 1, dtype=float)
+    return (ph[:, None] + sp[None, :]).ravel()
+
+
+def mode_displacement(state: np.ndarray, p: DickeParams) -> float:
+    """<a + a'> of a state (vanishes for parity-definite states)."""
+    psi = np.asarray(state, dtype=float).reshape(p.n_max + 1, p.n_atoms + 1)
+    ladder = np.sqrt(np.arange(1, p.n_max + 1, dtype=float))
+    shifted = psi[1:] * ladder[:, None]
+    return 2.0 * float(np.sum(psi[:-1] * shifted))

@@ -37,10 +37,8 @@ from dipolegauge.dicke import (
     DickeParams,
     build_hamiltonian,
     crossing_estimate,
-    excitation_diagonal,
     ground_state,
     ground_state_sectored,
-    mode_displacement,
     parity_diagonal,
     scan_coupling,
 )
@@ -52,6 +50,7 @@ from dipolegauge.polarization import (
     transverse_delta_real_far,
 )
 from kernel_quadrature import numeric_inverse_transform
+from kron_hamiltonian import excitation_diagonal, mode_displacement
 
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS

@@ -226,6 +226,22 @@ class TestEnsembleCheck:
         assert abs(payload["overlap_energy_J"]) <= payload["bound_J"]
         assert payload["error_estimate_J"] > 0.0
 
+    def test_overlap_below_scaled_separation_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "coincident.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "positions_m": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0e-120]],
+                    "dipoles_Cm": [[0.0, 0.0, 8.5e-30], [0.0, 0.0, 8.5e-30]],
+                    "volume_m3": 1e-27,
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", str(path), "--kM", "1e10", "--overlap", "0", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("dipolegauge: invalid input: kM * separation")
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["ensemble-check", "--config", "/nonexistent.json", "--kM", "1e10"])
         assert code == 2

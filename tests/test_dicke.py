@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
-from kron_hamiltonian import kron_hamiltonian
+from kron_hamiltonian import excitation_diagonal, kron_hamiltonian, mode_displacement
 
 from dipolegauge import cli, dicke
 from dipolegauge.dicke import (
@@ -14,12 +14,9 @@ from dipolegauge.dicke import (
     FockTruncationError,
     build_hamiltonian,
     crossing_estimate,
-    excitation_diagonal,
-    fock_convergence,
     ground_state,
     ground_state_sectored,
     meanfield_order_parameter,
-    mode_displacement,
     observables,
     parity_diagonal,
     scan_coupling,
@@ -83,9 +80,12 @@ class TestBuild:
         assert np.sort(found) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_cap(self):
-        p = DickeParams(n_atoms=100, omega=1.0, omega_a=1.0, g_collective=0.0, n_max=100)
-        with pytest.raises(DimensionError):
-            build_hamiltonian(p, dimension_cap=1000)
+        p = DickeParams(n_atoms=1000, omega=1.0, omega_a=1.0, g_collective=0.0, n_max=512)
+        assert p.dimension == 513_513 > dicke.DEFAULT_DIMENSION_CAP
+        with pytest.raises(DimensionError, match="exceeds cap"):
+            build_hamiltonian(p)
+        with pytest.raises(DimensionError, match="exceeds cap"):
+            sector_hamiltonians(p)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -207,16 +207,10 @@ class TestObservables:
         # stretched spin state: <Sx^2> = S/2, so the fraction is 1/(4N)
         assert report.sx2_fraction == pytest.approx(1.0 / (4.0 * p.n_atoms), rel=1e-10)
 
-    def test_energy_computed_when_missing(self):
-        p = params(n_atoms=5, fom=1.1, n_max=16)
-        energy, vec, _ = ground_state_sectored(p)
-        report = observables(vec, p)
-        assert report.energy == pytest.approx(energy, rel=1e-12)
-
     def test_unnormalized_state_rejected(self):
         p = params(n_atoms=4, fom=0.5, n_max=8)
         with pytest.raises(ValueError, match="normalized"):
-            observables(np.ones(p.dimension), p)
+            observables(np.ones(p.dimension), p, energy=0.0)
 
 
 class TestMeanField:
@@ -250,16 +244,18 @@ class TestMeanField:
 class TestFockConvergence:
     def test_decoupled_uses_first_schedule_entry(self):
         p = DickeParams(n_atoms=6, omega=1.0, omega_a=1.0, g_collective=0.0)
-        assert fock_convergence(p) == 8
+        assert dicke._converged_ground(p).converged_n_max == 8
 
-    def test_schedule_cap(self):
+    def test_schedule_cap(self, monkeypatch):
+        # one schedule entry leaves nothing to compare the first truncation with
+        monkeypatch.setattr(dicke, "FOCK_SCHEDULE_CAP", dicke.FOCK_SCHEDULE_START)
         p = params(n_atoms=4, fom=2.0)
-        with pytest.raises(FockTruncationError):
-            fock_convergence(p, start=1, cap=2)
+        with pytest.raises(FockTruncationError, match=f"up to {dicke.FOCK_SCHEDULE_START} "):
+            dicke._converged_ground(p)
 
     def test_regression_at_strong_coupling(self):
         p = params(n_atoms=24, fom=2.0)
-        assert fock_convergence(p) == 32
+        assert dicke._converged_ground(p).converged_n_max == 32
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +316,7 @@ class TestScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        def fake_row(template, fom, tol):
+        def fake_row(template, fom):
             return ScanRow(fom=fom, n_atoms=template.n_atoms, n_max=8, energy=0.0, photon_fraction=0.0,
                            inversion=0.0, sx2_fraction=0.0, parity=1.0)
 

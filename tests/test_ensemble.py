@@ -21,7 +21,7 @@ from dipolegauge.ensemble import (
 )
 from dipolegauge.polarization import QuadratureError
 from conftest import random_rotation
-from overlap_quadrature import quadrature_overlap_energy
+from overlap_quadrature import adaptive_gk21, quadrature_overlap_energy
 
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS
@@ -287,6 +287,15 @@ class TestOverlapEnergy:
         assert rotated.bound == pytest.approx(report.bound, rel=1e-12, abs=SUBNORMAL)
         assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound + SUBNORMAL)
 
+    @pytest.mark.parametrize("separation", [1e-120, 1e-112])
+    def test_scaled_separation_below_limit_rejected(self, separation):
+        # at kM = 1e10, kM r is 1e-110 (where (kM r)^3 is 0) or 1e-102; both pairs form a configuration
+        config = pair_config(separation, [0, 0, D0], [0, 0, D0])
+        with pytest.raises(ValueError, match="needs at least 1e-100"):
+            residual_overlap_energy(config, (0, 1), 1e10)
+        with pytest.raises(ValueError, match="needs at least 1e-100"):
+            overlap_envelope_bound(D0, D0, 1e10, separation)
+
     def test_tiny_dipole_keeps_its_bound(self):
         # A plain norm squares a dipole this small to 0, and so gives a zero
         # bound beside a nonzero energy (d_B = 3.4e-233 e*a0, found by hypothesis).
@@ -296,6 +305,20 @@ class TestOverlapEnergy:
         assert 0.0 < abs(tiny.overlap_energy) <= tiny.bound
         assert tiny.overlap_energy == pytest.approx(3.4e-233 * unit.overlap_energy, rel=1e-14)
         assert tiny.bound == pytest.approx(3.4e-233 * unit.bound, rel=1e-14)
+
+
+class TestOverlapOracleRule:
+    def test_gauss_kronrod_panels_meet_their_tolerance(self):
+        # int_0^20 e^(-x) sin(3x) dx in closed form, and a polynomial both embedded rules integrate exactly
+        exact = 0.3 * (1.0 - math.exp(-20.0) * (math.cos(60.0) + math.sin(60.0) / 3.0))
+        value, error = adaptive_gk21(lambda x: np.exp(-x) * np.sin(3.0 * x), 0.0, 20.0, 1e-13, 1e-13, 50)
+        assert abs(value - exact) <= max(error, 1e-15) <= 1e-13
+        value, _ = adaptive_gk21(lambda x: x**19, -1.0, 2.0, 0.0, 1e-13, 1)
+        assert value == pytest.approx((2.0**20 - 1.0) / 20.0, rel=1e-14)
+
+    def test_limit_without_convergence_raises(self):
+        with pytest.raises(QuadratureError, match="3 subintervals"):
+            adaptive_gk21(lambda x: np.sign(x - 0.3), 0.0, 1.0, 1e-12, 0.0, 3)
 
 
 class TestConfigurationFile:

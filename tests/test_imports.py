@@ -63,7 +63,7 @@ PUBLIC_NAMES = sorted(
     PhysicalConstants QuadratureError ScanRow build_hamiltonian config_figure_of_merit
     coupling_g critical_density crossing_estimate crystalline_comparison cutoff_window
     default_species_registry derived_constants dipole_from_linewidth figure_of_merit
-    fock_convergence fom_density_q fom_hydrogenlike ground_state hydrogen_first_order_shift
+    fom_density_q fom_hydrogenlike ground_state hydrogen_first_order_shift
     hydrogen_shift_numeric hydrogen_wavenumber intimacy_radius intimacy_violations
     load_configuration load_species_registry longitudinal_dipole_polarization
     max_packing_density meanfield_order_parameter min_pairwise_distance observables
