@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_finite_float, help="mode frequency (rad/s)")
     p.add_argument("--omega-A", dest="omega_A", type=_finite_float, help="atomic frequency (rad/s)")
     p.add_argument("--rwa", action="store_true", help="number-conserving coupling")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for grid points (at least 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for grid points (at least 1)")
     _add_common(p)
     p.set_defaults(func=cmd_dicke_scan)
 

@@ -111,9 +111,15 @@ class CutoffParameter:
         return cls(value / BOHR_RADIUS)
 
 
+# Largest cutoff wavenumber accepted (1/m).  Energies and densities carry
+# kM^3, which leaves the floats above about 5.6e102 /m, and kM^3/eps0, above
+# about 3e99 /m; the limit keeps a wide margin for the factors beside them.
+MAX_CUTOFF_WAVENUMBER = 1e90
+
+
 def _cutoff_value(k_m) -> float:
-    """Accept either a CutoffParameter or a bare wavenumber in 1/m."""
+    """Accept either a CutoffParameter or a bare wavenumber in 1/m, up to MAX_CUTOFF_WAVENUMBER."""
     k = float(getattr(k_m, "k_m", k_m))
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"cutoff wavenumber must be positive and finite, got {k}")
+    if not 0.0 < k <= MAX_CUTOFF_WAVENUMBER:  # NaN included
+        raise ValueError(f"cutoff wavenumber must be positive and at most {MAX_CUTOFF_WAVENUMBER:g} /m, got {k}")
     return k

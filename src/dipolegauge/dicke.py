@@ -18,9 +18,10 @@ high-coupling phase deterministically.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -422,13 +423,67 @@ def _scan_one(template: DickeParams, fom: float) -> ScanRow:
     )
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    numpy's and scipy's wheels bundle OpenBLAS under hashed file names, so
+    the libraries are found among the mapped files; scipy's exports
+    scipy_openblas_{get,set}_num_threads, numpy's the same with a 64_ suffix.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            # a line naming a file ends in its path, the sixth field
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    except OSError:  # no procfs: leave the thread counts alone
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already mapped, so this only returns its handle
+        except OSError:
+            continue
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore the counts.
+
+    A scan's matrices are far too small for threaded BLAS: its threads only
+    spin beside each solve, and forked workers would each start their own.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+
+
 def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list[ScanRow]:
     """Converged ground-state observables over a figure-of-merit grid.
 
     Rows are ordered by the figure of merit; each grid point converges its
     own Fock truncation, so rows are independent and may run in parallel
     (assembly order is fixed by the grid, not by completion).  At most
-    min(max_workers, grid points, CPUs) threads start.
+    min(max_workers, grid points, CPUs) worker processes start, forked so
+    that they inherit the loaded modules; where fork is unavailable the
+    grid runs serially.  Every scan runs with loaded OpenBLAS libraries
+    set to one thread, restored afterwards, and the workers inherit that
+    setting.  A worker that dies raises BrokenProcessPool.
     """
     if max_workers < 1:
         raise ValueError(f"worker count must be at least 1, got {max_workers}")
@@ -436,10 +491,18 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     if any(f < 0.0 for f in grid):
         raise ValueError("figure-of-merit grid values must be nonnegative")
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda f: _scan_one(template, f), grid))
-    return [_scan_one(template, f) for f in grid]
+    with _one_blas_thread():
+        if workers > 1:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                    # neighbouring points in pairs: half the round trips, and
+                    # the costly high-F end of the grid still splits between workers
+                    return list(pool.map(functools.partial(_scan_one, template), grid, chunksize=2))
+        return [_scan_one(template, f) for f in grid]
 
 
 def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | None:

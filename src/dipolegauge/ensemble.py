@@ -126,6 +126,24 @@ def _scaled_separation(mu: float, separation: float) -> float:
     return x
 
 
+def _finite_overlap(scaled: float, exponent: int, separation: float) -> float:
+    """scaled * 2**exponent, rejected unless finite.
+
+    The closed form carries r^-3, which overflows for pairs closer than
+    about 1e-99 m (kM r may still be above MIN_SCALED_SEPARATION there).
+    """
+    try:
+        value = math.ldexp(scaled, exponent)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"pair overlap overflows at separation {separation:.3g} m: the closed form needs pairs "
+            "at least about 1e-99 m apart and dipoles well inside the float range"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class OverlapReport:
     """Residual pair overlap energy with its analytic envelope bound."""
@@ -150,7 +168,7 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
     x = _scaled_separation(mu, separation)
     poly = (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0) / x**3
     (f_a, e_a), (f_b, e_b) = math.frexp(abs(d_a)), math.frexp(abs(d_b))
-    return math.ldexp(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b)
+    return _finite_overlap(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b, separation)
 
 
 def residual_overlap_energy(
@@ -182,7 +200,8 @@ def residual_overlap_energy(
     internally; a plain norm squares them to 0 below about 1e-154 C*m.
 
     kM r below MIN_SCALED_SEPARATION raises ValueError, since the closed
-    form divides by (kM r)^3.
+    form divides by (kM r)^3, and so does an energy or bound that is not
+    finite: r^-3 overflows for pairs closer than about 1e-99 m.
 
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself
@@ -209,7 +228,7 @@ def residual_overlap_energy(
     prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)
     axial = (x**3 + 3.0 * x**2 + 6.0 * x + 6.0) * float(n @ d_a) * float(n @ d_b)
-    energy = math.ldexp(prefactor * (isotropic - axial), e_a + e_b)
+    energy = _finite_overlap(prefactor * (isotropic - axial), e_a + e_b, separation)
     bound = overlap_envelope_bound(m_a, m_b, mu, separation)
     error_estimate = (16.0 + x) * np.finfo(float).eps * bound
     if error_estimate > tol * bound:

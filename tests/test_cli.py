@@ -23,6 +23,21 @@ def atoms_file(tmp_path):
     return str(path)
 
 
+def two_atom_file(tmp_path, separation):
+    """Configuration file of two parallel 8.5e-30 C*m dipoles separation apart along z."""
+    path = tmp_path / "pair.json"
+    path.write_text(
+        json.dumps(
+            {
+                "positions_m": [[0.0, 0.0, 0.0], [0.0, 0.0, separation]],
+                "dipoles_Cm": [[0.0, 0.0, 8.5e-30], [0.0, 0.0, 8.5e-30]],
+                "volume_m3": 1e-27,
+            }
+        )
+    )
+    return str(path)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -183,9 +198,10 @@ class TestPolarization:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_result_is_not_emitted(self, capsys):
-        # kM^2 overflows, so the filter value is inf/inf: not valid JSON
-        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e200", "--suppression", "1e200"])
+        # r^3 and the envelope underflow to 0, so the far-zone kernel is 0/0: not valid JSON
+        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--kernel", "1e-150,0,0"])
         assert code == 2
         assert out == ""
         assert "JSON" in err
@@ -227,20 +243,25 @@ class TestEnsembleCheck:
         assert payload["error_estimate_J"] > 0.0
 
     def test_overlap_below_scaled_separation_limit_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "coincident.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "positions_m": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0e-120]],
-                    "dipoles_Cm": [[0.0, 0.0, 8.5e-30], [0.0, 0.0, 8.5e-30]],
-                    "volume_m3": 1e-27,
-                }
-            )
-        )
-        code, out, err = run_cli(capsys, ["ensemble-check", "--config", str(path), "--kM", "1e10", "--overlap", "0", "1"])
+        path = two_atom_file(tmp_path, 1.0e-120)
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", path, "--kM", "1e10", "--overlap", "0", "1"])
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("dipolegauge: invalid input: kM * separation")
+
+    @pytest.mark.parametrize(
+        "separation, k_m, message",
+        [
+            (3.0e-10, "1e200", "cutoff wavenumber must be positive and at most 1e+90 /m"),  # kM^3 overflows
+            (1.0e-105, "1e10", "pair overlap overflows at separation 1e-105 m"),  # r^-3 overflows
+        ],
+    )
+    def test_overlap_outside_float_range_exits_2(self, capsys, tmp_path, separation, k_m, message):
+        path = two_atom_file(tmp_path, separation)
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", path, "--kM", k_m, "--overlap", "0", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["ensemble-check", "--config", "/nonexistent.json", "--kM", "1e10"])

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 from dipolegauge.constants import (
     CONSTANTS,
     ELEMENTARY_CHARGE,
+    MAX_CUTOFF_WAVENUMBER,
     PLANCK,
     RYDBERG,
     SPEED_OF_LIGHT,
+    CutoffParameter,
     derived_constants,
     hydrogen_wavenumber,
     wavelength_to_omega,
@@ -71,3 +73,10 @@ def test_wavelength_round_trip(lam):
 def test_nonpositive_wavelength_rejected(bad):
     with pytest.raises(ValueError):
         wavelength_to_omega(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nextafter(MAX_CUTOFF_WAVENUMBER, math.inf), 1e200, math.inf, math.nan])
+def test_cutoff_outside_range_rejected(bad):
+    with pytest.raises(ValueError, match="positive and at most 1e\\+90 /m"):
+        CutoffParameter(bad)
+    assert CutoffParameter(MAX_CUTOFF_WAVENUMBER).k_m == MAX_CUTOFF_WAVENUMBER

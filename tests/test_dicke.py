@@ -1,5 +1,13 @@
+import concurrent.futures
+import contextlib
+import faulthandler
 import json
 import math
+import multiprocessing
+import os
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -22,6 +30,7 @@ from dipolegauge.dicke import (
     scan_coupling,
     sector_hamiltonians,
     ScanRow,
+    SolverConvergenceError,
 )
 
 
@@ -265,6 +274,51 @@ def rows():
     return scan_coupling(template, grid)
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="scans run serially without fork"
+)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """End the test process with every thread's traceback if the block outlasts seconds."""
+    faulthandler.dump_traceback_later(seconds, exit=True, file=sys.__stderr__)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def fake_row(template, fom):
+    return ScanRow(fom=fom, n_atoms=template.n_atoms, n_max=8, energy=0.0, photon_fraction=0.0,
+                   inversion=0.0, sx2_fraction=0.0, parity=1.0)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Worker counts of the process pools scans start; each runs its map in-process."""
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "fork"
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(dicke, "_scan_one", fake_row)
+    monkeypatch.setattr(dicke.os, "cpu_count", lambda: 4)
+    return started
+
+
 class TestScan:
     def test_rows_ordered_and_complete(self, rows):
         assert [row.fom for row in rows] == sorted(row.fom for row in rows)
@@ -300,34 +354,91 @@ class TestScan:
         "max_workers, grid_size, threads",
         [(1, 5, None), (2, 5, 2), (3, 5, 3), (10**6, 5, 4), (10**6, 3, 3), (4, 1, None), (10**6, 0, None)],
     )
-    def test_thread_count_bounded(self, monkeypatch, max_workers, grid_size, threads):
-        started = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        def fake_row(template, fom):
-            return ScanRow(fom=fom, n_atoms=template.n_atoms, n_max=8, energy=0.0, photon_fraction=0.0,
-                           inversion=0.0, sx2_fraction=0.0, parity=1.0)
-
-        monkeypatch.setattr(dicke, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(dicke, "_scan_one", fake_row)
-        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 4)
+    def test_thread_count_bounded(self, recording_pool, max_workers, grid_size, threads):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
         grid = [0.1 * i for i in range(grid_size)]
         found = scan_coupling(template, grid, max_workers=max_workers)
         assert [row.fom for row in found] == sorted(grid)
-        assert started == ([] if threads is None else [threads])
+        assert recording_pool == ([] if threads is None else [threads])
+
+    def test_serial_where_fork_is_unavailable(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        found = scan_coupling(template, [0.2, 0.0, 0.1], max_workers=2)
+        assert [row.fom for row in found] == [0.0, 0.1, 0.2]
+        assert recording_pool == []
+
+    def test_blas_thread_counts_restored(self, monkeypatch):
+        controls = dicke._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        counts = lambda: [get() for get, _ in controls]  # noqa: E731
+        saved = counts()
+        seen = []
+
+        def recording_row(template, fom):
+            seen.append(counts())
+            return fake_row(template, fom)
+
+        def failing_row(template, fom):
+            raise RuntimeError("solve failed")
+
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        try:
+            for _, set_ in controls:
+                set_(2)
+            before = counts()  # 2, or fewer where OpenBLAS allows fewer
+            monkeypatch.setattr(dicke, "_scan_one", recording_row)
+            scan_coupling(template, [0.0, 0.5])
+            assert seen == [[1] * len(controls)] * 2
+            assert counts() == before
+            monkeypatch.setattr(dicke, "_scan_one", failing_row)
+            with pytest.raises(RuntimeError, match="solve failed"):
+                scan_coupling(template, [0.0, 0.5])
+            assert counts() == before
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+
+    @needs_fork
+    def test_pool_rows_equal_serial_rows_rwa(self, monkeypatch):
+        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 2)
+        template = DickeParams(n_atoms=8, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert scan_coupling(template, grid, max_workers=2) == scan_coupling(template, grid)
+
+    @needs_fork
+    def test_solver_failure_in_worker_is_failed_row(self, monkeypatch):
+        solve = dicke._converged_ground
+
+        def failing_at_one(p):
+            if abs(p.figure_of_merit - 1.0) < 1e-9:
+                raise SolverConvergenceError("forced failure", 1.0)
+            return solve(p)
+
+        monkeypatch.setattr(dicke, "_converged_ground", failing_at_one)  # workers inherit it through fork
+        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 2)
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        grid = [0.0, 0.5, 1.0, 1.5]
+        pooled = scan_coupling(template, grid, max_workers=2)
+        assert [row.fom for row in pooled] == grid
+        assert [row.error is not None for row in pooled] == [False, False, True, False]
+        assert "forced failure" in pooled[2].error and pooled[2].energy is None
+        assert pooled == scan_coupling(template, grid)
+
+    @needs_fork
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, capsys):
+        monkeypatch.setattr(dicke, "_converged_ground", lambda p: os._exit(3))
+        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 2)
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        start = time.monotonic()
+        with deadline(60):
+            with pytest.raises(BrokenProcessPool):
+                scan_coupling(template, [0.0, 0.5, 1.0], max_workers=2)
+            code = cli.main(["dicke-scan", "--N", "4", "--F", "0:1:0.5", "--resonant", "--jobs", "2"])
+        assert time.monotonic() - start < 30.0
+        assert code == 1
+        assert "computation failed" in capsys.readouterr().err
 
     def test_negative_grid_rejected(self):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)

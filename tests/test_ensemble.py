@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, MAX_CUTOFF_WAVENUMBER
 from dipolegauge.coupling import default_species_registry
 from dipolegauge.cutoff_window import transverse_self_energy
 from dipolegauge.ensemble import (
@@ -295,6 +295,28 @@ class TestOverlapEnergy:
             residual_overlap_energy(config, (0, 1), 1e10)
         with pytest.raises(ValueError, match="needs at least 1e-100"):
             overlap_envelope_bound(D0, D0, 1e10, separation)
+
+    @pytest.mark.parametrize("separation, dipole", [(1e-105, D0), (2e-100, D0), (3e-10, 1e300)])
+    def test_overflowing_pair_rejected(self, separation, dipole):
+        # kM r is above MIN_SCALED_SEPARATION for each, but r^-3 or the dipole product overflows
+        config = pair_config(separation, [0, 0, dipole], [0, 0, dipole])
+        with pytest.raises(ValueError, match="pair overlap overflows"):
+            residual_overlap_energy(config, (0, 1), 1e10)
+        with pytest.raises(ValueError, match="pair overlap overflows"):
+            overlap_envelope_bound(dipole, dipole, 1e10, separation)
+
+    def test_cutoff_above_limit_rejected(self):
+        # kM^3 overflows above about 5.6e102 /m; up to the limit every cube stays finite
+        config = pair_config(3e-10, [0, 0, D0], [0, 0, D0])
+        for call in (
+            lambda k_m: residual_overlap_energy(config, (0, 1), k_m),
+            lambda k_m: overlap_envelope_bound(D0, D0, k_m, 3e-10),
+            max_packing_density,
+        ):
+            with pytest.raises(ValueError, match="at most 1e\\+90 /m"):
+                call(1e200)
+            call(MAX_CUTOFF_WAVENUMBER)
+        assert math.isfinite(max_packing_density(MAX_CUTOFF_WAVENUMBER))
 
     def test_tiny_dipole_keeps_its_bound(self):
         # A plain norm squares a dipole this small to 0, and so gives a zero

@@ -20,6 +20,8 @@ sys.path.insert(0, str(PERFBENCH))
 from workloads import SMALL_CONFIG, child_env, cli_commands  # noqa: E402
 
 HEAVY = ("numpy", "scipy", "scipy.special", "scipy.integrate", "scipy.sparse", "scipy.spatial")
+# what a dicke-scan process pool needs; a serial scan must not pay for it
+POOL = ("multiprocessing", "concurrent.futures.process")
 
 # Modules each entry point must leave out of sys.modules.  cutoff-window
 # loads scipy.integrate for its quadrature cross-check, and with it the rest.
@@ -27,7 +29,7 @@ NOT_LOADED = {
     "import dipolegauge": HEAVY,
     "critical-density": HEAVY,
     "polarization": ("scipy.integrate", "scipy.sparse", "scipy.spatial"),
-    "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial"),
+    "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial", *POOL),
     "ensemble-check": ("scipy.integrate",),
     "cutoff-window": (),
 }
@@ -84,7 +86,7 @@ def loaded_by(tmp_path_factory) -> dict[str, set[str]]:
     commands = dict(cli_commands(str(config)))
     children = {
         name: subprocess.Popen(
-            [sys.executable, "-c", CHILD, json.dumps(commands.get(name)), json.dumps(HEAVY)],
+            [sys.executable, "-c", CHILD, json.dumps(commands.get(name)), json.dumps(HEAVY + POOL)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
