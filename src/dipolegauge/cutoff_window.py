@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, QuadratureError, _cutoff_value
+from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -117,8 +117,10 @@ def cutoff_window(
 ) -> CutoffWindow:
     """Evaluate both window metrics and the combined admissibility verdict."""
     mu = _cutoff_value(k_m)
-    if k_radiation <= 0.0:
-        raise ValueError(f"radiation wavenumber must be positive, got {k_radiation}")
+    if not 0.0 < k_radiation <= MAX_CUTOFF_WAVENUMBER:  # NaN included; k^2 overflows above about 1.3e154 /m
+        raise ValueError(
+            f"radiation wavenumber must be positive and at most {MAX_CUTOFF_WAVENUMBER:g} /m, got {k_radiation}"
+        )
     if lower_threshold <= 0.0 or upper_threshold <= 0.0:
         raise ValueError("thresholds must be positive")
     # complement of the filter value, written to stay exact for k << kM

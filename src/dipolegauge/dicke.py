@@ -11,7 +11,8 @@ the figure of merit g^2/(omega omega_A) equals 1 at the critical point.
 
 The parity operator (-1)^(a'a + S_z + N/2) is diagonal in this basis and
 commutes with both variants, so ground states are computed per parity
-sector, each block built directly from index arithmetic; that keeps
+sector: each block is a row slice of build_hamiltonian's matrix with its
+column indices halved, and each is solved by ground_state.  That keeps
 <a + a'> exactly zero and resolves the near-degenerate doublet deep in the
 high-coupling phase deterministically.
 """
@@ -125,12 +126,12 @@ class ScanRow:
 
     fom: float
     n_atoms: int
-    n_max: int | None
-    energy: float | None
-    photon_fraction: float | None
-    inversion: float | None
-    sx2_fraction: float | None
-    parity: float | None
+    n_max: int | None = None
+    energy: float | None = None
+    photon_fraction: float | None = None
+    inversion: float | None = None
+    sx2_fraction: float | None = None
+    parity: float | None = None
     error: str | None = None
 
 
@@ -197,37 +198,32 @@ def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns.reshape(dim, -1), values.reshape(dim, -1), present.reshape(dim, -1)
 
 
-def _csr(indices: np.ndarray, data: np.ndarray, present: np.ndarray) -> sparse.csr_matrix:
-    """Square CSR matrix from the kept entries of row-ordered (rows, steps) arrays."""
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-    dim = present.shape[0]
-    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-
-
 def build_hamiltonian(p: DickeParams) -> sparse.csr_matrix:
     """Sparse symmetric Hamiltonian on |n> (x) |N/2, m>, photon index major."""
     columns, values, present = _row_entries(p)
-    return _csr(columns[present], values[present], present)
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    return sparse.csr_matrix((values[present], columns[present], indptr), shape=(p.dimension, p.dimension))
 
 
 def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
     """Parity blocks of the Hamiltonian, even parity first.
 
     Each item is (idx, block) with idx the ascending basis indices of the
-    sector and block equal to build_hamiltonian(p)[idx][:, idx], built
-    without the full matrix: the coupling changes n + j by 0 or +/-2, so
-    every row's entries lie in its own sector.
+    sector and block equal to build_hamiltonian(p)[idx][:, idx].  The block
+    is the row slice h[idx] with every column index g replaced by g // 2:
+    the coupling changes n + j by 0 or +/-2, so each row's entries stay in
+    its own sector, and each index pair (2k, 2k+1) of the photon-major basis
+    holds one state of each parity whatever the parity of N + 1, so a
+    state's place in its sector is g // 2.
     """
-    columns, values, present = _row_entries(p)
+    h = build_hamiltonian(p)
     parity = parity_diagonal(p)
-    sectors = [np.flatnonzero(parity == sign) for sign in (1.0, -1.0)]
-    local = np.empty(p.dimension, dtype=np.intp)
-    for idx in sectors:
-        local[idx] = np.arange(idx.size)
     blocks = []
-    for idx in sectors:
-        kept = present[idx]
-        blocks.append((idx, _csr(local[columns[idx][kept]], values[idx][kept], kept)))
+    for sign in (1.0, -1.0):
+        idx = np.flatnonzero(parity == sign)
+        rows = h[idx]
+        block = sparse.csr_matrix((rows.data, rows.indices // 2, rows.indptr), shape=(idx.size, idx.size))
+        blocks.append((idx, block))
     return blocks
 
 
@@ -265,11 +261,6 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     ||Hv - Ev|| is checked against tol times the max-row-sum norm of H.
     """
     h = sparse.csr_matrix(h)
-    return _lowest_eigenpair(h, _row_sum_norm(h), tol)
-
-
-def _lowest_eigenpair(h: sparse.csr_matrix, scale: float, tol: float) -> tuple[float, np.ndarray]:
-    """ground_state for a CSR matrix whose max-row-sum norm is already known."""
     dim = h.shape[0]
     if dim < 8:
         values, vectors = np.linalg.eigh(h.toarray())
@@ -283,7 +274,7 @@ def _lowest_eigenpair(h: sparse.csr_matrix, scale: float, tol: float) -> tuple[f
     energy = float(values[0])
     vec = vectors[:, 0]
     residual = float(np.linalg.norm(h @ vec - energy * vec))
-    if residual > tol * scale:
+    if residual > tol * _row_sum_norm(h):
         raise SolverConvergenceError("ground-state solve did not converge", residual)
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
@@ -297,19 +288,15 @@ def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     is supported on a single sector, so parity is exact.
     """
     sectors = sector_hamiltonians(p)
-    norms = [_row_sum_norm(block) for _, block in sectors]
     # every row of H lies in one sector, so this is the norm of the whole matrix
-    scale = max(norms)
-    results = []
-    for (idx, block), norm in zip(sectors, norms):
-        energy, vec = _lowest_eigenpair(block, norm, RESIDUAL_TOL)
-        full = np.zeros(p.dimension)
-        full[idx] = vec
-        results.append((energy, full))
-    (even_energy, _), (odd_energy, _) = results
+    scale = max(_row_sum_norm(block) for _, block in sectors)
+    results = [(*ground_state(block), idx) for idx, block in sectors]
+    (even_energy, *_), (odd_energy, *_) = results
     near_degenerate = abs(even_energy - odd_energy) < NEAR_DEGENERACY_FACTOR * scale
-    energy, vec = min(results, key=lambda item: item[0])
-    return energy, vec, near_degenerate
+    energy, vec, idx = min(results, key=lambda item: item[0])
+    full = np.zeros(p.dimension)
+    full[idx] = vec
+    return energy, full, near_degenerate
 
 
 def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
@@ -400,17 +387,7 @@ def _scan_one(template: DickeParams, fom: float) -> ScanRow:
         )
         report = _converged_ground(p)
     except (SolverConvergenceError, FockTruncationError, DimensionError) as exc:
-        return ScanRow(
-            fom=fom,
-            n_atoms=template.n_atoms,
-            n_max=None,
-            energy=None,
-            photon_fraction=None,
-            inversion=None,
-            sx2_fraction=None,
-            parity=None,
-            error=str(exc),
-        )
+        return ScanRow(fom=fom, n_atoms=template.n_atoms, error=str(exc))
     return ScanRow(
         fom=fom,
         n_atoms=template.n_atoms,

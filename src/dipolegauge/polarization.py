@@ -92,11 +92,21 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[..., 0] + a[:, 1] * b[..., 1] + a[:, 2] * b[..., 2]
 
 
+# Smallest separation the kernel and the fields accept (m).  They divide by
+# r^3, which underflows below about 1e-108 m and leaves the residual field
+# non-finite from about 1e-104 m; at the limit every field stays finite for
+# all accepted cutoffs.
+MIN_SEPARATION = 1e-100
+
+
 def _geometry(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norm r and unit vector n of each (M, 3) separation; rejects r = 0."""
+    """Norm r and unit vector n of each (M, 3) separation; rejects r below MIN_SEPARATION."""
     r = np.sqrt(_dot3(rel, rel))
-    if np.any(r == 0.0):
-        raise ValueError("kernel and dipole fields are singular at zero separation")
+    short = ~(r >= MIN_SEPARATION)  # NaN included
+    if short.any():
+        raise ValueError(
+            f"kernel and dipole fields need separations of at least {MIN_SEPARATION:g} m, got {float(r[short][0])!r} m"
+        )
     return r, rel / r[:, None]
 
 

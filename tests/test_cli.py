@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dipolegauge import polarization
 from dipolegauge.cli import main
 from dipolegauge.polarization import radial_envelope
 
@@ -88,6 +91,15 @@ class TestCutoffWindow:
         code, err = rejected_by_parser(capsys, ["cutoff-window", "--kM", "1e10", "--k-radiation", "inf"])
         assert code == 2
         assert "finite" in err
+
+    def test_radiation_wavenumber_above_limit_exits_2(self, capsys):
+        # k_radiation^2 would overflow: refused with one line instead of an OverflowError traceback
+        code, out, err = run_cli(capsys, ["cutoff-window", "--kM", "1e10", "--k-radiation", "1e200"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "dipolegauge: invalid input: radiation wavenumber must be positive and at most 1e+90 /m, got 1e+200"
+        ]
 
 
 class TestCriticalDensity:
@@ -198,13 +210,24 @@ class TestPolarization:
         assert code == 2
         assert "finite" in err
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_result_is_not_emitted(self, capsys):
-        # r^3 and the envelope underflow to 0, so the far-zone kernel is 0/0: not valid JSON
-        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--kernel", "1e-150,0,0"])
+    def test_non_finite_result_is_not_emitted(self, capsys, monkeypatch):
+        # no accepted input gives a non-finite kernel any more, so one is planted: it is not valid JSON
+        monkeypatch.setattr(polarization, "transverse_delta_real_exact", lambda k_m, x: np.full((3, 3), np.nan))
+        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--kernel", "1e-10,0,0"])
         assert code == 2
         assert out == ""
         assert "JSON" in err
+
+    def test_separation_below_limit_exits_2(self, capsys):
+        # r^3 underflows below about 1e-108 m; refused before any field is computed, so numpy warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--kernel", "1e-150,0,0"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "dipolegauge: invalid input: kernel and dipole fields need separations of at least 1e-100 m, got 1e-150 m"
+        ]
 
 
 class TestEnsembleCheck:

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, ELEMENTARY_CHARGE, HARTREE, RYDBERG
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, ELEMENTARY_CHARGE, HARTREE, MAX_CUTOFF_WAVENUMBER, RYDBERG
 from dipolegauge.cutoff_window import (
     cutoff_window,
     hydrogen_first_order_shift,
@@ -128,6 +128,14 @@ class TestWindow:
             cutoff_window(-1.0, 1e10)
         with pytest.raises(ValueError):
             cutoff_window(1e7, 1e10, lower_threshold=0.0)
+
+    def test_radiation_wavenumber_limit(self):
+        # k_radiation^2 overflows the floats above about 1.3e154 /m
+        for k_radiation in (math.nextafter(MAX_CUTOFF_WAVENUMBER, math.inf), 1e200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="at most 1e\\+90 /m"):
+                cutoff_window(k_radiation, 1e10)
+        window = cutoff_window(MAX_CUTOFF_WAVENUMBER, 1e10)
+        assert window.lower_violation == 1.0 and not window.admissible
 
 
 class TestIntimacyRadius:

@@ -440,6 +440,32 @@ class TestScan:
         assert code == 1
         assert "computation failed" in capsys.readouterr().err
 
+    def test_scan_goes_through_public_build_and_solve(self, monkeypatch):
+        # a private build or solve path beside these two would leave the counts short
+        built, solved = [], []
+        build, solve = dicke.build_hamiltonian, dicke.ground_state
+
+        def counting_build(p):
+            built.append(p.n_max)
+            return build(p)
+
+        def counting_solve(h, *args, **kwargs):
+            solved.append(h.shape[0])
+            return solve(h, *args, **kwargs)
+
+        monkeypatch.setattr(dicke, "build_hamiltonian", counting_build)
+        monkeypatch.setattr(dicke, "ground_state", counting_solve)
+        template = DickeParams(n_atoms=8, omega=1.0, omega_a=1.0, g_collective=0.0)
+        (row,) = scan_coupling(template, [1.5])
+        # the walk doubles from the first schedule entry to one past the accepted truncation
+        tried = [dicke.FOCK_SCHEDULE_START]
+        while tried[-1] < 2 * row.n_max:
+            tried.append(2 * tried[-1])
+        assert len(tried) > 2
+        assert built == tried
+        assert len(solved) == 2 * len(built)
+        assert [a + b for a, b in zip(solved[::2], solved[1::2])] == [(n + 1) * (template.n_atoms + 1) for n in tried]
+
     def test_negative_grid_rejected(self):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
         with pytest.raises(ValueError):
@@ -482,10 +508,7 @@ class TestSerialization:
         assert lines[1] == "0.5,4,8,-2.0,0.1,-0.4,0.08,1.0"
 
     def test_failed_row_has_empty_cells_and_json_error(self, monkeypatch, capsys):
-        rows = [
-            ScanRow(fom=0.5, n_atoms=4, n_max=None, energy=None, photon_fraction=None,
-                    inversion=None, sx2_fraction=None, parity=None, error="boom")
-        ]
+        rows = [ScanRow(fom=0.5, n_atoms=4, error="boom")]  # the numeric fields default to None
         code, out = self.scan_output(monkeypatch, capsys, rows, "--format", "csv")
         assert code == 1
         assert out.splitlines()[1] == "0.5,4,,,,,,"

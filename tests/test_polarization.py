@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dipolegauge.constants import MAX_CUTOFF_WAVENUMBER
 from dipolegauge.polarization import (
+    MIN_SEPARATION,
     CutoffParameter,
     _kernel_pieces,
     longitudinal_dipole_polarization,
@@ -283,6 +285,32 @@ class TestPolarizationFields:
             longitudinal_dipole_polarization(d, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             total_residual_polarization(d, np.zeros(3), MU, np.zeros(3))
+
+    @staticmethod
+    def public_fields(k_m, x):
+        d = np.array([0.3e-29, -0.2e-29, 1e-29])
+        origin = np.zeros(3)
+        return {
+            "exact kernel": lambda: transverse_delta_real_exact(k_m, x),
+            "far kernel": lambda: transverse_delta_real_far(k_m, x),
+            "transverse": lambda: transverse_polarization(d, origin, k_m, x),
+            "longitudinal": lambda: longitudinal_dipole_polarization(d, origin, x),
+            "residual": lambda: total_residual_polarization(d, origin, k_m, x),
+            "residual batch": lambda: total_residual_polarization_many(d, origin, k_m, np.array([[0.0, 1e-9, 0.0], x])),
+        }
+
+    @pytest.mark.parametrize("r", [1e-104, 1e-108, 1e-150, math.nextafter(MIN_SEPARATION, 0.0)])
+    def test_separation_below_limit_rejected(self, r):
+        # below about 1e-104 m r^3 leaves the normal floats and the fields stop being finite
+        for field in self.public_fields(MU, np.array([0.0, 0.0, r])).values():
+            with pytest.raises(ValueError, match="separations of at least 1e-100 m"):
+                field()
+
+    def test_fields_finite_at_limit(self):
+        for k_m in np.logspace(-300.0, math.log10(MAX_CUTOFF_WAVENUMBER), 40):
+            for x in (np.array([MIN_SEPARATION, 0.0, 0.0]), np.array([0.0, 0.0, -MIN_SEPARATION])):
+                for name, field in self.public_fields(k_m, x).items():
+                    assert np.all(np.isfinite(field())), (name, k_m)
 
 
 class TestResidualCancellation:
