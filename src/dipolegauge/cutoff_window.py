@@ -5,7 +5,9 @@ modes essentially unchanged (1 - filter value small at k_radiation); the
 upper limit asks the energy stored in the filtered transverse polarization
 to stay a small perturbation of the atomic binding energy.  The hydrogen
 ground state gives the upper-limit arithmetic in closed form, backed here
-by an independent radial quadrature.
+by an independent radial quadrature: a standard-library transcription of
+QUADPACK's QAGI (``_quadpack``), which the tests hold bit for bit to
+``scipy.integrate.quad``, so this module loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._quadpack import qagi
 from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
@@ -68,10 +71,8 @@ def hydrogen_first_order_shift(k_m) -> float:
 
 
 def _hydrogen_shift_quad(k_m, tol: float) -> tuple[float, float]:
-    from scipy import integrate  # here, not at module level: scipy.integrate dominates start-up
-
     mu = _cutoff_value(k_m)
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ValueError(f"tolerance must be positive, got {tol}")
     c = CONSTANTS
     a0 = c.a0
@@ -81,7 +82,7 @@ def _hydrogen_shift_quad(k_m, tol: float) -> tuple[float, float]:
     def integrand(u: float) -> float:
         return u**4 * math.exp(-2.0 * u)
 
-    value, abserr = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=min(tol, 1e-10))
+    value, abserr, _, _ = qagi(integrand, min(tol, 1e-10))
     if abs(value) > 0.0 and abserr > tol * abs(value):
         raise QuadratureError("hydrogen shift quadrature did not converge", abserr / abs(value))
     return prefactor * value, prefactor * abserr
@@ -121,7 +122,7 @@ def cutoff_window(
         raise ValueError(
             f"radiation wavenumber must be positive and at most {MAX_CUTOFF_WAVENUMBER:g} /m, got {k_radiation}"
         )
-    if lower_threshold <= 0.0 or upper_threshold <= 0.0:
+    if not (lower_threshold > 0.0 and upper_threshold > 0.0):  # NaN included
         raise ValueError("thresholds must be positive")
     # complement of the filter value, written to stay exact for k << kM
     lower_violation = k_radiation**2 / (k_radiation**2 + mu * mu)

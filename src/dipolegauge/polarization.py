@@ -74,10 +74,16 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     """
     mu = _cutoff_value(k_m)
     k = _vector(k_vec)
-    k2 = float(k @ k)
-    if k2 == 0.0:
+    # The zero test and the projector take k scaled by the power of two of
+    # its largest component, which is exact and keeps ks @ ks in [1/4, 3):
+    # k @ k underflows below about 1e-162 /m and overflows above 1.3e154 /m.
+    ks = np.ldexp(k, -math.frexp(float(np.abs(k).max()))[1])
+    ks2 = float(ks @ ks)
+    if ks2 == 0.0:
         raise ValueError("transverse projector is undefined at k = 0")
-    projector = _IDENTITY3 - np.outer(k, k) / k2
+    projector = _IDENTITY3 - np.outer(ks, ks) / ks2
+    with np.errstate(over="ignore"):
+        k2 = float(k @ k)  # inf past the overflow gives the filter its limit 0
     return FT_PREFACTOR * mu * mu / (k2 + mu * mu) * projector
 
 

@@ -101,6 +101,14 @@ class TestCutoffWindow:
             "dipolegauge: invalid input: radiation wavenumber must be positive and at most 1e+90 /m, got 1e+200"
         ]
 
+    def test_tolerance_below_quadrature_floor_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["cutoff-window", "--kM-inv-bohr", "0.5", "--species", "H", "--tol", "1e-15"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "dipolegauge: invalid input: relative tolerance must be at least 1.1102230246251565e-14, got 1e-15"
+        ]
+
 
 class TestCriticalDensity:
     def test_rubidium(self, capsys):

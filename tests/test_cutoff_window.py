@@ -75,6 +75,10 @@ class TestHydrogenShift:
         with pytest.raises(ValueError):
             hydrogen_shift_numeric(1e10, tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            hydrogen_shift_numeric(1e10, tol=math.nan)
+
 
 class TestShiftRatio:
     def test_exact_examples(self):
@@ -128,6 +132,11 @@ class TestWindow:
             cutoff_window(-1.0, 1e10)
         with pytest.raises(ValueError):
             cutoff_window(1e7, 1e10, lower_threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", ["lower_threshold", "upper_threshold"])
+    def test_nan_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            cutoff_window(1e7, 1e10, **{threshold: math.nan})
 
     def test_radiation_wavenumber_limit(self):
         # k_radiation^2 overflows the floats above about 1.3e154 /m

@@ -23,21 +23,20 @@ HEAVY = ("numpy", "scipy", "scipy.special", "scipy.integrate", "scipy.sparse", "
 # what a dicke-scan process pool needs; a serial scan must not pay for it
 POOL = ("multiprocessing", "concurrent.futures.process")
 
-# Modules each entry point must leave out of sys.modules.  cutoff-window
-# loads scipy.integrate for its quadrature cross-check, and with it the rest.
+# Modules each entry point must leave out of sys.modules.  cutoff-window's
+# quadrature cross-check is a standard-library QUADPACK port, so it loads none.
 NOT_LOADED = {
     "import dipolegauge": HEAVY,
     "critical-density": HEAVY,
     "polarization": ("scipy.integrate", "scipy.sparse", "scipy.spatial"),
     "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial", *POOL),
     "ensemble-check": ("scipy.integrate",),
-    "cutoff-window": (),
+    "cutoff-window": HEAVY,
 }
 LOADED = {
     "polarization": ("numpy", "scipy.special"),
     "dicke-scan": ("numpy", "scipy.sparse"),
     "ensemble-check": ("numpy", "scipy.spatial"),
-    "cutoff-window": ("scipy.integrate",),
 }
 
 # Runs `python -m dipolegauge.cli ARGV` in-process through runpy (or only

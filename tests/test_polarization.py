@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dipolegauge.constants import MAX_CUTOFF_WAVENUMBER
 from dipolegauge.polarization import (
+    FT_PREFACTOR,
     MIN_SEPARATION,
     CutoffParameter,
     _kernel_pieces,
@@ -99,6 +100,24 @@ class TestKSpaceKernel:
     def test_zero_wavevector_rejected(self):
         with pytest.raises(ValueError):
             transverse_delta_k(MU, np.zeros(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [5e-324, 1e-200, 1e160, 1e300])
+    def test_finite_outside_the_range_of_k_squared(self, length):
+        # k @ k underflows below about 1e-162 /m and overflows above about 1.3e154 /m
+        kernel = transverse_delta_k(MU, length * np.array([3.0, 0.0, -4.0]))
+        assert np.all(np.isfinite(kernel))
+        projector = np.eye(3) - np.outer([0.6, 0.0, -0.8], [0.6, 0.0, -0.8])
+        filter_value = 1.0 if length < 1.0 else 0.0  # k^2 / kM^2 is below 1e-300 or above 1e300
+        assert kernel == pytest.approx(FT_PREFACTOR * filter_value * projector, rel=1e-14, abs=1e-300)
+
+    def test_equals_unscaled_formula_in_normal_range(self, rng):
+        for _ in range(2000):
+            k = rng.normal(size=3) * 10.0 ** rng.uniform(-150.0, 150.0)
+            mu = 10.0 ** rng.uniform(-30.0, 90.0)
+            k2 = float(k @ k)
+            unscaled = FT_PREFACTOR * mu * mu / (k2 + mu * mu) * (np.eye(3) - np.outer(k, k) / k2)
+            assert np.array_equal(transverse_delta_k(mu, k), unscaled)
 
     @given(vectors)
     @settings(max_examples=30)
