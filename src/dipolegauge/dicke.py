@@ -9,12 +9,26 @@ with hbar = 1 (energies in rad/s), or the number-conserving variant
 (g/sqrt(N)) (a S+ + a' S-) when rwa is set.  g is the collective coupling:
 the figure of merit g^2/(omega omega_A) equals 1 at the critical point.
 
-The parity operator (-1)^(a'a + S_z + N/2) is diagonal in this basis and
-commutes with both variants, so ground states are computed per parity
-sector: each block is a row slice of build_hamiltonian's matrix with its
-column indices halved, and each is solved by ground_state.  That keeps
-<a + a'> exactly zero and resolves the near-degenerate doublet deep in the
-high-coupling phase deterministically.
+Ground states are computed per block of a conserved quantity, each
+diagonal in this basis, so the returned state is supported on one block.
+
+- Dicke coupling: the parity (-1)^(a'a + S_z + N/2).  Each parity block is
+  a row slice of build_hamiltonian's matrix with its column indices halved,
+  solved by ground_state (ARPACK).  That keeps <a + a'> exactly zero and
+  resolves the near-degenerate doublet deep in the high-coupling phase
+  deterministically.  These blocks stay on ARPACK: a dense solve would
+  change the last bits of every row.
+- rwa: the excitation number k = a'a + S_z + N/2, which refines parity
+  ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
+  tridiagonal.  Every block k = 0 ... n_max + N is built from index
+  arithmetic with the same float operations as build_hamiltonian; the
+  blocks are padded to a common size and stacked, at most _BATCH_FLOATS
+  entries to a stack, and each stack goes to one np.linalg.eigvalsh.  The
+  eigenvector comes from np.linalg.eigh of the one block chosen.  Blocks
+  whose lowest energy lies within NEAR_DEGENERACY_FACTOR times the
+  max-row-sum norm of the lowest are tied; the tie goes to the largest k,
+  the state a scan enters as the coupling grows, and marks the solve
+  near-degenerate.
 """
 
 from __future__ import annotations
@@ -36,6 +50,10 @@ FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
+# Entries of one padded batch of excitation blocks (32 MiB of float64): at
+# the dimension cap, N = n_max = 499, all 999 blocks padded to 500 states
+# would take 2 GB.
+_BATCH_FLOATS = 1 << 22
 
 
 class SolverConvergenceError(RuntimeError):
@@ -54,6 +72,18 @@ class DimensionError(ValueError):
     """Requested matrix exceeds DEFAULT_DIMENSION_CAP."""
 
 
+def _require_finite(name: str, value: float, positive: bool) -> None:
+    """Refuse NaN, +/-inf and values below zero (or at zero when positive)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
+def _require_dimension(p: "DickeParams") -> None:
+    if p.dimension > DEFAULT_DIMENSION_CAP:
+        raise DimensionError(f"dimension {p.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
+
+
 @dataclass(frozen=True)
 class DickeParams:
     """Model parameters; g_collective enters as g/sqrt(N) with collective spins."""
@@ -68,10 +98,9 @@ class DickeParams:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError(f"atom count must be at least 1, got {self.n_atoms}")
-        if self.omega <= 0.0 or self.omega_a <= 0.0:
-            raise ValueError("frequencies must be positive")
-        if self.g_collective < 0.0:
-            raise ValueError(f"coupling must be nonnegative, got {self.g_collective}")
+        _require_finite("omega", self.omega, positive=True)
+        _require_finite("omega_a", self.omega_a, positive=True)
+        _require_finite("g_collective", self.g_collective, positive=False)
         if self.n_max < 1:
             raise ValueError(f"Fock truncation must be at least 1, got {self.n_max}")
 
@@ -86,8 +115,7 @@ class DickeParams:
         n_max: int = FOCK_SCHEDULE_START,
     ) -> "DickeParams":
         """Parametrize by the figure of merit: g = sqrt(F omega omega_A)."""
-        if fom < 0.0:
-            raise ValueError(f"figure of merit must be nonnegative, got {fom}")
+        _require_finite("fom", fom, positive=False)
         return cls(
             n_atoms=n_atoms,
             omega=omega,
@@ -154,6 +182,21 @@ _STEPS = ((-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1))
 _STEPS_RWA = ((-1, 1), (0, 0), (1, -1))
 
 
+def _matrix_elements(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """m, ladder, spin and scale, the factors of every matrix element.
+
+    m[j] is the S_z eigenvalue of spin index j, ladder[n] = <n| a |n+1>,
+    spin[j] the S_x element <j+1| S_x |j> (half the S+ one) or, under rwa,
+    the S+ element, and scale = g/sqrt(N).
+    """
+    s = p.n_atoms / 2.0
+    m = np.arange(p.n_atoms + 1) - s
+    raising = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1| S+ |m>
+    spin = raising if p.rwa else 0.5 * raising
+    ladder = np.sqrt(np.arange(1, p.n_max + 1, dtype=float))  # <n-1| a |n>
+    return m, ladder, spin, p.g_collective / math.sqrt(p.n_atoms)
+
+
 def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns, values and presence of every stored entry, each (dimension, steps).
 
@@ -164,16 +207,10 @@ def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (half the S+ one) or, under rwa, the S+ element.  Symmetric pairs take
     the same float values, so H equals its transpose exactly.
     """
-    if p.dimension > DEFAULT_DIMENSION_CAP:
-        raise DimensionError(f"dimension {p.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
+    _require_dimension(p)
     n_ph = p.n_max + 1
     n_sp = p.n_atoms + 1
-    s = p.n_atoms / 2.0
-    m = np.arange(n_sp) - s
-    raising = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1| S+ |m>
-    spin = raising if p.rwa else 0.5 * raising
-    ladder = np.sqrt(np.arange(1, n_ph, dtype=float))  # <n-1| a |n>
-    scale = p.g_collective / math.sqrt(p.n_atoms)
+    m, ladder, spin, scale = _matrix_elements(p)
     n = np.arange(n_ph)[:, None]
     j = np.arange(n_sp)[None, :]
 
@@ -221,8 +258,11 @@ def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_mat
     blocks = []
     for sign in (1.0, -1.0):
         idx = np.flatnonzero(parity == sign)
-        rows = h[idx]
-        block = sparse.csr_matrix((rows.data, rows.indices // 2, rows.indptr), shape=(idx.size, idx.size))
+        starts, counts = h.indptr[idx], np.diff(h.indptr)[idx]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        # storage position of each kept entry: its row's start plus its place in the row
+        taken = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        block = sparse.csr_matrix((h.data[taken], h.indices[taken] // 2, indptr), shape=(idx.size, idx.size))
         blocks.append((idx, block))
     return blocks
 
@@ -260,7 +300,8 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     blocks smaller than 8 are diagonalized densely.  The residual
     ||Hv - Ev|| is checked against tol times the max-row-sum norm of H.
     """
-    h = sparse.csr_matrix(h)
+    if not isinstance(h, sparse.csr_matrix):
+        h = sparse.csr_matrix(h)
     dim = h.shape[0]
     if dim < 8:
         values, vectors = np.linalg.eigh(h.toarray())
@@ -279,14 +320,74 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
-def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
-    """Ground state resolved per parity sector.
+def _excitation_batch(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Excitation blocks ks of the number-conserving Hamiltonian, padded and stacked.
 
-    Solves each sector separately and returns the lower one (ties go to
-    even parity), together with a flag marking a near-degenerate doublet
-    (sector gap below 1e-8 of the matrix norm scale).  The returned vector
-    is supported on a single sector, so parity is exact.
+    Block k holds the states n = max(0, k - N) ... min(k, n_max), j = k - n,
+    in ascending basis order.  batch[c] holds block ks[c] in its top-left
+    corner, equal to build_hamiltonian(p)[idx][:, idx] for the block's basis
+    indices idx, and on the rest of its diagonal the largest Gershgorin bound
+    of the batch, which no eigenvalue of any of its blocks exceeds.  Also
+    returns the largest row sum of |entries| over the blocks.
     """
+    m, ladder, spin, scale = _matrix_elements(p)
+    first = np.maximum(ks - p.n_atoms, 0)
+    sizes = np.minimum(ks, p.n_max) - first + 1
+    t = np.arange(sizes.max())
+    inside = t < sizes[:, None]
+    n = np.where(inside, first[:, None] + t, 0)
+    j = np.where(inside, ks[:, None] - n, 0)
+    diagonal = np.where(inside, p.omega * n + p.omega_a * m[j], 0.0)
+    # state t couples to t + 1, (n + 1, j - 1), through ladder[n] spin[j - 1]
+    pair = inside[:, 1:]
+    pair_n, pair_j = np.where(pair, n[:, :-1], 0), np.where(pair, j[:, :-1] - 1, 0)
+    coupling = np.where(pair, scale * (ladder[pair_n] * spin[pair_j]), 0.0)
+    radius = np.zeros(diagonal.shape)
+    radius[:, :-1] += np.abs(coupling)
+    radius[:, 1:] += np.abs(coupling)
+    batch = np.zeros((ks.size, t.size, t.size))
+    batch[:, t, t] = np.where(inside, diagonal, (diagonal + radius)[inside].max())
+    batch[:, t[:-1], t[1:]] = coupling
+    batch[:, t[1:], t[:-1]] = coupling
+    return batch, float((np.abs(diagonal) + radius).max())
+
+
+def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
+    """ground_state_sectored under rwa: lowest energy over the excitation blocks."""
+    _require_dimension(p)
+    count = p.n_max + p.n_atoms + 1
+    per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
+    lowest, norm = [], 0.0
+    for start in range(0, count, per_batch):
+        batch, batch_norm = _excitation_batch(p, np.arange(start, min(start + per_batch, count)))
+        lowest.append(np.linalg.eigvalsh(batch)[:, 0])
+        norm = max(norm, batch_norm)
+        del batch  # else it lives on while the next one is built
+    lowest = np.concatenate(lowest)
+    tied = np.flatnonzero(lowest - lowest.min() < NEAR_DEGENERACY_FACTOR * norm)
+    k = int(tied[-1])
+    (block,), _ = _excitation_batch(p, np.array([k]))
+    values, vectors = np.linalg.eigh(block)
+    first = max(0, k - p.n_atoms)
+    full = np.zeros(p.dimension)
+    # (n, k - n) sits at n (N + 1) + k - n
+    full[np.arange(first, first + block.shape[0]) * p.n_atoms + k] = _fix_sign(vectors[:, 0])
+    return float(values[0]), full, tied.size > 1
+
+
+def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
+    """Ground state resolved per block of a conserved quantity.
+
+    Dicke coupling: solves each parity sector separately and returns the
+    lower one (ties go to even parity), together with a flag marking a
+    near-degenerate doublet (sector gap below 1e-8 of the matrix norm
+    scale).  rwa: solves every excitation block k and returns the lowest,
+    ties within the same scale going to the largest k and setting the
+    flag.  The returned vector is supported on a single block, so parity
+    is exact.
+    """
+    if p.rwa:
+        return _excitation_ground(p)
     sectors = sector_hamiltonians(p)
     # every row of H lies in one sector, so this is the norm of the whole matrix
     scale = max(_row_sum_norm(block) for _, block in sectors)
@@ -339,10 +440,9 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     amplitude x (per sqrt(N)) and spin angle t gives 0 up to the critical
     point and (F omega_A / 4 omega)(1 - 1/F^2) beyond it.
     """
-    if fom < 0.0:
-        raise ValueError(f"figure of merit must be nonnegative, got {fom}")
-    if omega <= 0.0 or omega_a <= 0.0:
-        raise ValueError("frequencies must be positive")
+    _require_finite("fom", fom, positive=False)
+    _require_finite("omega", omega, positive=True)
+    _require_finite("omega_a", omega_a, positive=True)
     if fom <= 1.0:
         return 0.0
     return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
@@ -465,8 +565,8 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     if max_workers < 1:
         raise ValueError(f"worker count must be at least 1, got {max_workers}")
     grid = sorted(float(f) for f in fom_grid)
-    if any(f < 0.0 for f in grid):
-        raise ValueError("figure-of-merit grid values must be nonnegative")
+    for f in grid:
+        _require_finite("fom grid value", f, positive=False)
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
     with _one_blas_thread():
         if workers > 1:

@@ -7,7 +7,9 @@ import multiprocessing
 import os
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +66,8 @@ class TestBuild:
         def assert_same(found, reference):
             assert found.shape == reference.shape
             assert found.data.dtype == reference.data.dtype
+            assert found.indices.dtype == reference.indices.dtype
+            assert found.indptr.dtype == reference.indptr.dtype
             assert np.array_equal(found.data, reference.data)
             assert np.array_equal(found.indices, reference.indices)
             assert np.array_equal(found.indptr, reference.indptr)
@@ -103,6 +107,18 @@ class TestBuild:
             DickeParams(n_atoms=2, omega=-1.0, omega_a=1.0, g_collective=0.0)
         with pytest.raises(ValueError):
             DickeParams.from_figure_of_merit(n_atoms=2, fom=-0.5, omega=1.0, omega_a=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "omega_a", "g_collective"])
+    def test_non_finite_parameter_named(self, name, value):
+        fields = dict(n_atoms=2, omega=1.0, omega_a=1.0, g_collective=0.5)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            DickeParams(**{**fields, name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_figure_of_merit_named(self, value):
+        with pytest.raises(ValueError, match="^fom must be finite"):
+            DickeParams.from_figure_of_merit(n_atoms=2, fom=value, omega=1.0, omega_a=1.0)
 
 
 class TestGroundState:
@@ -203,6 +219,148 @@ class TestSymmetries:
         assert near_strong
 
 
+def parity_ground(p):
+    """The parity-sector solve for either coupling: sector_hamiltonians and ground_state (ARPACK)."""
+    results = [(*ground_state(block), idx) for idx, block in sector_hamiltonians(p)]
+    energy, vec, idx = min(results, key=lambda item: item[0])
+    full = np.zeros(p.dimension)
+    full[idx] = vec
+    return energy, full, False
+
+
+def excitation_indices(p):
+    """Basis indices of each excitation block k = n + j, k ascending."""
+    excitation = excitation_diagonal(p)
+    return [np.flatnonzero(excitation == k) for k in range(p.n_max + p.n_atoms + 1)]
+
+
+class TestExcitationBlocks:
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=30),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.3, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_equal_slices_of_the_full_matrix(self, n_atoms, n_max, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(
+            n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
+        )
+        h = build_hamiltonian(p)
+        blocks = excitation_indices(p)
+        batch, norm = dicke._excitation_batch(p, np.arange(len(blocks)))
+        assert batch.shape == (len(blocks), min(n_atoms, n_max) + 1, min(n_atoms, n_max) + 1)
+        pad = batch[-1, -1, -1]  # the last block has one state: (n_max, N)
+        for padded, idx in zip(batch, blocks):
+            size = idx.size
+            block = h[idx][:, idx].toarray()
+            assert np.array_equal(padded[:size, :size], block)
+            assert np.array_equal(padded[size:, size:], pad * np.eye(padded.shape[0] - size))
+            assert not padded[size:, :size].any() and not padded[:size, size:].any()
+            assert np.linalg.eigvalsh(block)[-1] <= pad + 1e-14 * abs(pad)
+        assert norm == pytest.approx(dicke._row_sum_norm(h), rel=1e-15)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=30),  # dimension at most 13 * 31 = 403
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.3, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lowest_energy_matches_dense_solve(self, n_atoms, n_max, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(
+            n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
+        )
+        h = build_hamiltonian(p)
+        energy, vec, _ = ground_state_sectored(p)
+        dense = np.linalg.eigvalsh(h.toarray())[0]
+        assert energy == pytest.approx(dense, rel=1e-12)
+        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        # the state lies in one excitation block
+        assert np.unique(excitation_diagonal(p)[vec != 0.0]).size == 1
+
+    @pytest.mark.parametrize("n_atoms, n_max, fom", [(6, 9, 0.4), (13, 5, 2.9), (20, 24, 1.7)])
+    def test_batch_size_changes_nothing(self, monkeypatch, n_atoms, n_max, fom):
+        p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
+        whole = ground_state_sectored(p)
+        build, batches = dicke._excitation_batch, []
+
+        def recording_build(p, ks):
+            batch, norm = build(p, ks)
+            batches.append((ks.tolist(), batch.size))
+            return batch, norm
+
+        monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
+        for floats in (1, 40, 200):  # one block per batch, then a few
+            monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
+            batches.clear()
+            energy, vec, near = ground_state_sectored(p)
+            assert energy == pytest.approx(whole[0], rel=1e-14)
+            assert np.array_equal(vec != 0.0, whole[1] != 0.0)
+            assert near == whole[2]
+            # every block once, in order, within the budget; then the chosen block alone
+            *solved, (chosen, _) = batches
+            assert sum((ks for ks, _ in solved), []) == list(range(n_max + n_atoms + 1))
+            assert all(size <= max(floats, (min(n_atoms, n_max) + 1) ** 2) for _, size in solved)
+            assert len(chosen) == 1
+
+    def test_scan_rows_match_parity_solve(self, monkeypatch):
+        grid = [round(0.037 + 0.2 * i, 10) for i in range(13)]  # 0.037 .. 2.437, no exact crossing
+        for n_atoms in (8, 16):
+            template = DickeParams(n_atoms=n_atoms, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
+            rows = scan_coupling(template, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(dicke, "ground_state_sectored", parity_ground)
+                oracle = scan_coupling(template, grid)
+            for row, expected in zip(rows, oracle):
+                assert row.error is None and expected.error is None
+                assert row.n_max == expected.n_max
+                assert row.parity == pytest.approx(expected.parity, abs=1e-12)  # +/-1 up to rounding
+                assert row.energy == pytest.approx(expected.energy, rel=1e-12)
+                for name in ("photon_fraction", "inversion", "sx2_fraction"):
+                    assert getattr(row, name) == pytest.approx(getattr(expected, name), abs=1e-10)
+
+    @pytest.mark.parametrize("n_atoms", [8, 16, 32])
+    def test_resonant_crossing_goes_to_one_excitation(self, n_atoms):
+        # at F = 1 the vacuum and the lowest one-excitation state, (1 - N/2) - g, share the energy -N/2
+        p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=1.0, omega=1.0, omega_a=1.0, rwa=True)
+        report = dicke._converged_ground(p)
+        assert report.near_degenerate
+        assert report.parity_expectation == pytest.approx(-1.0, abs=1e-12)
+        assert report.photon_fraction == pytest.approx(1.0 / (2 * n_atoms), rel=1e-12)
+        assert report.energy == pytest.approx(-n_atoms / 2, rel=1e-14)
+        assert report.converged_n_max == dicke.FOCK_SCHEDULE_START
+        below = dicke._converged_ground(replace(p, g_collective=0.99))
+        assert not below.near_degenerate and below.parity_expectation == 1.0
+
+    def test_cap_corner_solve_within_batch_budget(self):
+        p = params(n_atoms=499, fom=1.3, rwa=True, n_max=499)
+        assert p.dimension == dicke.DEFAULT_DIMENSION_CAP
+        tracemalloc.start()
+        try:
+            energy, vec, _ = ground_state_sectored(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one padded batch and the returned vector; the 999 blocks in one batch would take 2 GB
+        assert peak <= 8 * (dicke._BATCH_FLOATS + p.dimension)
+        h = build_hamiltonian(p)
+        assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
+
+    def test_dimension_refused_before_allocating(self):
+        p = params(n_atoms=500, fom=1.3, rwa=True, n_max=499)
+        assert p.dimension > dicke.DEFAULT_DIMENSION_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds cap"):
+                ground_state_sectored(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestObservables:
     def test_decoupled_values(self):
         p = DickeParams(n_atoms=6, omega=1.0, omega_a=1.0, g_collective=0.0, n_max=8)
@@ -232,6 +390,14 @@ class TestMeanField:
 
     def test_detuned_scaling(self):
         assert meanfield_order_parameter(2.0, 2.0, 1.0) == pytest.approx(0.1875, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((math.nan, 1.0, 1.0), "fom"), ((2.0, math.inf, 1.0), "omega"), ((2.0, 1.0, math.nan), "omega_a")],
+    )
+    def test_non_finite_arguments_named(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            meanfield_order_parameter(*args)
 
     def test_variational_oracle(self):
         # direct minimization of omega x^2 + (omega_a/2) cos t + g x sin t
@@ -470,6 +636,14 @@ class TestScan:
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
         with pytest.raises(ValueError):
             scan_coupling(template, [-0.1])
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, capfd, value, rwa):
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=rwa)
+        with pytest.raises(ValueError, match="^fom grid value must be finite and nonnegative"):
+            scan_coupling(template, [0.5, value])
+        assert capfd.readouterr() == ("", "")  # no LAPACK complaint either
 
 
 class TestCrossingEstimate:
