@@ -264,7 +264,7 @@ def cmd_polarization(args) -> int:
 def cmd_ensemble_check(args) -> int:
     import numpy as np
 
-    from .ensemble import intimacy_violations, load_configuration, min_pairwise_distance, residual_overlap_energy
+    from .ensemble import _pair_distances, intimacy_violations, load_configuration, min_pairwise_distance, residual_overlap_energy
 
     k_m = _cutoff_from_args(args)
     config = load_configuration(args.config)
@@ -293,12 +293,12 @@ def cmd_ensemble_check(args) -> int:
         "pair_threshold_m": 2.0 / k_m,
         "violations": [list(pair) for pair in violations],
     }
-    columns = ["pair_i", "pair_j", "separation_m"]
-    rows = [
-        [i, j, float(np.linalg.norm(config.positions[j] - config.positions[i]))]
-        for i, j in violations
-    ]
-    _emit(args, payload, csv_columns=columns, csv_rows=rows)
+    rows = []
+    if args.format == "csv" and violations:
+        # the check's own distances, so that every separation printed is below the threshold
+        i, j = np.array(violations).T
+        rows = [[*pair, separation] for pair, separation in zip(violations, _pair_distances(config.positions.T, i, j).tolist())]
+    _emit(args, payload, csv_columns=["pair_i", "pair_j", "separation_m"], csv_rows=rows)
     return 0
 
 

@@ -117,6 +117,13 @@ class CutoffParameter:
 MAX_CUTOFF_WAVENUMBER = 1e90
 
 
+def _require_finite(name: str, value: float, positive: bool) -> None:
+    """Refuse NaN, +/-inf and values below zero (or at zero when positive)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+
+
 def _cutoff_value(k_m) -> float:
     """Accept either a CutoffParameter or a bare wavenumber in 1/m, up to MAX_CUTOFF_WAVENUMBER."""
     k = float(getattr(k_m, "k_m", k_m))

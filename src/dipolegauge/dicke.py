@@ -43,6 +43,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
+from .constants import _require_finite
+
 DEFAULT_DIMENSION_CAP = 250_000
 FOCK_SCHEDULE_START = 8
 FOCK_SCHEDULE_CAP = 512
@@ -70,13 +72,6 @@ class FockTruncationError(RuntimeError):
 
 class DimensionError(ValueError):
     """Requested matrix exceeds DEFAULT_DIMENSION_CAP."""
-
-
-def _require_finite(name: str, value: float, positive: bool) -> None:
-    """Refuse NaN, +/-inf and values below zero (or at zero when positive)."""
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value}")
 
 
 def _require_dimension(p: "DickeParams") -> None:

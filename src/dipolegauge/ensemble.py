@@ -5,37 +5,106 @@ radius ~1/kM, so two atoms further apart than twice that radius no longer
 see each other through the quadratic polarization energy; what little
 remains is the pair overlap integral (1/eps0) int P_A . P_B dV, evaluated
 here from its exact closed form together with an analytic exponential
-envelope bound.  Pair distances come from a k-d tree, so spacing checks
-never hold an N x N array.
+envelope bound.  Spacing checks find their pairs with a cell list in
+numpy (Allen & Tildesley, Computer Simulation of Liquids, 1987), so they
+hold no N x N array and load no scipy module.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .constants import CONSTANTS, QuadratureError, _cutoff_value
+from .constants import CONSTANTS, QuadratureError, _cutoff_value, _require_finite
 from .coupling import AtomSpecies, FigureOfMeritReport, fom_density_q
 
+# Cell offsets (dx, dy, dz) >= (0, 0, 0) in lexicographic order: an atom's own
+# cell and the 13 half-shell neighbours, so each pair of cells is visited once.
+_HALF_SHELL = np.array([d for d in itertools.product((-1, 0, 1), repeat=3) if d >= (0, 0, 0)])
+# Candidate pairs expanded at a time (plus at most one atom's partners).
+CANDIDATE_BUDGET = 2**16
 
-def _nearest_neighbour_distances(positions: np.ndarray) -> np.ndarray:
-    """Distance from each of at least two atoms to its nearest other atom (m)."""
-    distances, _ = cKDTree(positions).query(positions, k=2)
-    return distances[:, 1]
+
+def _pair_distances(xyz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|r_j - r_i| for columns of the (3, n) xyz, as sqrt(dx*dx + dy*dy + dz*dz) left to right (m)."""
+    with np.errstate(over="ignore"):  # distances past the float range are inf
+        d = np.take(xyz, j, axis=1) - np.take(xyz, i, axis=1)
+        d *= d
+        return np.sqrt(d[0] + d[1] + d[2])
+
+
+def _candidate_pairs(positions: np.ndarray, radius: float):
+    """Cell-list neighbour search: (reach, order, chunks), reach >= radius.
+
+    chunks yields arrays (a, b, distance), a < b indexing positions[order],
+    that hold every pair at most reach apart once, among others.  Cells are
+    cubes of edge reach, at most floor(n^(1/3)) along an axis, and each atom
+    meets the later atoms of its cell and those of the 13 half-shell
+    neighbours; below 8 atoms every pair is a candidate.  Atoms crowded into
+    few cells cost O(n^2) time, but memory stays O(n + CANDIDATE_BUDGET).
+    """
+    n = len(positions)
+    k = int(n ** (1.0 / 3.0))
+    if k <= 1:
+        atoms = np.arange(n)
+        i, j = np.nonzero(np.less.outer(atoms, atoms))  # np.triu_indices(n, 1), five times faster
+        return math.inf, atoms, iter([(i, j, _pair_distances(positions.T, i, j))])
+    half = 0.5 * positions  # the span of halved finite positions is finite
+    span = half - half.min(axis=0)
+    edge = max(0.5 * radius, float(span.max()) / k, np.finfo(float).tiny)
+    # cells a little wider than the edge absorb the rounding of the cell coordinates
+    strides = np.array([(k + 2) ** 2, k + 2, 1])
+    keys = ((span / (edge * (1.0 + 1e-6))).astype(np.int64) + 1) @ strides
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=(k + 2) ** 3)
+    first = np.cumsum(counts) - counts
+    # row (atom, cell): partners start .. start + length - 1; in its own cell, those after the atom
+    cells = keys[order][:, None] + _HALF_SHELL @ strides
+    start, length = first[cells], counts[cells]
+    start[:, 0] = np.arange(1, n + 1)
+    length[:, 0] -= start[:, 0] - first[cells[:, 0]]
+    atom = np.repeat(np.arange(n), len(_HALF_SHELL))
+    return 2.0 * edge, order, _expand_rows(np.take(positions.T, order, axis=1), atom, start.ravel(), length.ravel())
+
+
+def _expand_rows(xyz, atom, start, length):
+    """Yield (a, b, distance) over the rows' pairs, about CANDIDATE_BUDGET at a time."""
+    ends = np.cumsum(length)
+    row = 0
+    while row < len(ends):
+        base = ends[row - 1] if row else 0
+        stop = max(int(np.searchsorted(ends, base + CANDIDATE_BUDGET, side="right")), row + 1)
+        lengths = length[row:stop]
+        a = np.repeat(atom[row:stop], lengths)
+        b = np.arange(ends[stop - 1] - base) + np.repeat(start[row:stop] - (ends[row:stop] - lengths - base), lengths)
+        yield a, b, _pair_distances(xyz, a, b)
+        row = stop
+
+
+def _closest_pair_distance(positions: np.ndarray) -> float:
+    """Smallest pair distance; the search radius grows until it holds the best candidate."""
+    radius = 0.0
+    while True:
+        reach, _, chunks = _candidate_pairs(positions, radius)
+        best = min(float(np.min(distance, initial=math.inf)) for _, _, distance in chunks)
+        radius = best * (1.0 + 1e-9)  # then every pair whose distance rounds to at most best is a candidate
+        if radius <= reach:
+            return best
 
 
 @dataclass(frozen=True)
 class AtomConfiguration:
-    """Positions (m), dipole vectors (C*m) and the bounding volume (m^3)."""
+    """Positions (m), dipole vectors (C*m) and the bounding volume (m^3); the smallest pair distance is kept."""
 
     positions: np.ndarray
     dipoles: np.ndarray
     volume: float
+    _min_distance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -48,13 +117,14 @@ class AtomConfiguration:
             )
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(dipoles))):
             raise ValueError("positions and dipoles must be finite")
-        if self.volume <= 0.0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
-        if len(positions) >= 2 and np.min(_nearest_neighbour_distances(positions)) == 0.0:
+        _require_finite("volume", self.volume, positive=True)
+        min_distance = _closest_pair_distance(positions) if len(positions) >= 2 else math.nan
+        if min_distance == 0.0:
             # distances come from squared differences, which underflow to 0 below about 1e-154 m
             raise ValueError("positions must be pairwise distinct (atoms closer than about 1e-154 m coincide)")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "dipoles", dipoles)
+        object.__setattr__(self, "_min_distance", min_distance)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -77,7 +147,7 @@ def min_pairwise_distance(config: AtomConfiguration) -> float:
     """Smallest distance between any two atoms (m)."""
     if len(config) < 2:
         raise ValueError("need at least two atoms")
-    return float(np.min(_nearest_neighbour_distances(config.positions)))
+    return config._min_distance
 
 
 def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]:
@@ -88,14 +158,17 @@ def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]
     """
     mu = _cutoff_value(k_m)
     threshold = 2.0 / mu
-    # query_pairs compares squared distances, which for pairs at 2/kM off the
-    # axes can round to the other side of the threshold than the distance
-    # does; its candidates from a slightly wider radius are re-tested on the
-    # distance itself, so a pair exactly 2/kM apart (touching zones) is never
-    # flagged.
-    pairs = cKDTree(config.positions).query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
-    separations = np.linalg.norm(config.positions[pairs[:, 1]] - config.positions[pairs[:, 0]], axis=1)
-    return sorted(map(tuple, pairs[separations < threshold].tolist()))
+    # Candidates within a slightly wider radius are re-tested on the distance
+    # itself, so a pair exactly 2/kM apart (touching zones) is never flagged.
+    _, order, chunks = _candidate_pairs(config.positions, threshold * (1.0 + 1e-9))
+    close = []
+    for a, b, distance in chunks:
+        hit = distance < threshold
+        close.append((order[a.compress(hit)], order[b.compress(hit)]))
+    a, b = (np.concatenate(side) for side in zip(*close))
+    n = len(config)
+    i, j = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def max_packing_density(k_m) -> float:
@@ -209,8 +282,7 @@ def residual_overlap_energy(
     exceeds it.
     """
     mu = _cutoff_value(k_m)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _require_finite("tol", tol, positive=True)
     i, j = pair
     if i == j:
         raise ValueError("pair indices must be distinct")

@@ -261,6 +261,33 @@ class TestEnsembleCheck:
         assert code == 0
         assert json.loads(out)["violations"] == [[0, 1]]
 
+    def test_csv_separations_are_the_flagged_distances(self, capsys, tmp_path):
+        # 400 pairs within a few ulp of 2/kM along random directions, 2^-26 m
+        # apart along x.  The x offsets sit on the 2^-69 m grid of those
+        # positions, so each pair's difference is exact.  A separation
+        # recomputed another way (a dot product) can round to 2/kM itself.
+        k_m, count = 1e10, 400
+        rng = np.random.default_rng(20)
+        radius = 2.0 / k_m * (1.0 - rng.integers(-3, 6, size=count) * 2.0**-53)
+        dx = np.round(rng.uniform(-0.9, 0.9, size=count) * radius * 2.0**69) * 2.0**-69
+        dy = rng.uniform(-0.3, 0.3, size=count) * radius
+        dz = np.sqrt(radius * radius - dx * dx - dy * dy)
+        anchors = np.zeros((count, 3))
+        anchors[:, 0] = np.arange(1, count + 1) * 2.0**-26
+        positions = np.concatenate([anchors, anchors + np.stack([dx, dy, dz], axis=1)])
+        path = tmp_path / "threshold.json"
+        path.write_text(json.dumps({"positions_m": positions.tolist(), "dipoles_Cm": np.zeros((2 * count, 3)).tolist(), "volume_m3": 1e-20}))
+        argv = ["ensemble-check", "--config", str(path), "--kM", str(k_m)]
+        _, out, _ = run_cli(capsys, argv)
+        payload = json.loads(out)
+        _, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+        header, *lines = out.splitlines()
+        rows = [line.split(",") for line in lines]
+        assert header == "pair_i,pair_j,separation_m"
+        assert [[int(i), int(j)] for i, j, _ in rows] == payload["violations"]
+        assert 100 < len(rows) < count
+        assert all(float(separation) < payload["pair_threshold_m"] for _, _, separation in rows)
+
     def test_overlap_report(self, capsys, atoms_file):
         code, out, _ = run_cli(
             capsys,

@@ -1,15 +1,18 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, MAX_CUTOFF_WAVENUMBER
 from dipolegauge.coupling import default_species_registry
 from dipolegauge.cutoff_window import transverse_self_energy
 from dipolegauge.ensemble import (
+    CANDIDATE_BUDGET,
     AtomConfiguration,
     intimacy_violations,
     load_configuration,
@@ -61,8 +64,52 @@ def assert_matches_brute_force(positions, k_m=MU):
     close = distances[i, j] < 2.0 / k_m
     violations = intimacy_violations(config, k_m)
     assert violations == list(zip(i[close].tolist(), j[close].tolist()))
-    assert min_pairwise_distance(config) == pytest.approx(np.min(distances[i, j]), rel=4 * np.finfo(float).eps)
+    assert min_pairwise_distance(config) == np.min(distances[i, j])
     return violations
+
+
+def assert_matches_kd_tree(positions, k_m):
+    """Spacing checks against scipy's k-d tree, re-tested on the distance as the library does."""
+    config = AtomConfiguration(positions=positions, dipoles=np.zeros_like(positions), volume=1.0)
+    tree = cKDTree(positions)
+    assert min_pairwise_distance(config) == float(np.min(tree.query(positions, k=2)[0][:, 1]))
+    pairs = tree.query_pairs(2.0 / k_m * (1.0 + 1e-9), output_type="ndarray")
+    separations = np.linalg.norm(positions[pairs[:, 1]] - positions[pairs[:, 0]], axis=1)
+    assert intimacy_violations(config, k_m) == sorted(map(tuple, pairs[separations < 2.0 / k_m].tolist()))
+
+
+def spread_geometry(kind, count, seed):
+    """Positions (m) of a geometry that loads the cell list unevenly; kM = MU."""
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        direction = rng.normal(size=3)
+        return np.outer(rng.uniform(0.0, count, size=count), direction / np.linalg.norm(direction)) / MU
+    if kind == "shared x":
+        positions = rng.uniform(0.0, 2.0 * count ** (1.0 / 2.0), size=(count, 3))
+        positions[:, 0] = 1.5
+        return positions / MU
+    if kind == "planar lattice":
+        side = math.isqrt(count) + 1
+        steps = rng.uniform(0.5, 3.0, size=2)
+        i, j = np.divmod(np.arange(count), side)
+        return np.stack([steps[0] * i, steps[1] * j, np.full(count, 0.25)], axis=1) / MU
+    if kind == "dense cube":  # three cells of 2/kM a side, with 4 to 15 atoms each
+        return rng.uniform(0.0, 6.0, size=(100 + count, 3)) / MU
+    if kind == "cluster beside outlier":
+        return np.concatenate([rng.normal(size=(count - 1, 3)), [[1e6, -3e5, 2e6]]]) / MU
+    if kind == "1e-150 m beside 1 m":
+        tiny = rng.integers(0, 100, size=(count // 2, 3)) * 1e-150
+        return np.concatenate([tiny, rng.uniform(0.0, 1.0, size=(count - count // 2, 3))])
+    return rng.uniform(0.0, 4.0, size=(2 + count % 6, 3)) / MU  # "2-7 atoms": a single cell
+
+
+geometries = st.tuples(
+    st.sampled_from(
+        ["collinear", "shared x", "planar lattice", "dense cube", "cluster beside outlier", "1e-150 m beside 1 m", "2-7 atoms"]
+    ),
+    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+).map(lambda draw: spread_geometry(*draw))
 
 
 class TestGeometry:
@@ -115,6 +162,11 @@ class TestGeometry:
                 positions=np.array([[0.0, 0.0, 0.0]]), dipoles=np.zeros((1, 3)), volume=0.0
             )
 
+    @pytest.mark.parametrize("volume", [math.nan, math.inf])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match="volume must be finite and positive"):
+            AtomConfiguration(positions=np.zeros((1, 3)), dipoles=np.zeros((1, 3)), volume=volume)
+
 
 class TestIntimacyViolations:
     def test_far_pair_clean(self):
@@ -150,6 +202,50 @@ class TestIntimacyViolations:
         positions = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], *sites]) / MU
         assume(len(np.unique(positions, axis=0)) == len(positions))
         assert (0, 1) not in assert_matches_brute_force(positions)
+
+    @given(geometries)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_kd_tree_and_brute_force(self, positions):
+        assume(len(np.unique(positions, axis=0)) == len(positions))
+        assert_matches_kd_tree(positions, MU)
+        assert_matches_brute_force(positions)
+
+    @given(geometries, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_coincident_atoms_rejected(self, positions, data):
+        copy = data.draw(st.integers(0, len(positions) - 1))
+        positions = np.insert(positions, data.draw(st.integers(0, len(positions))), positions[copy], axis=0)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            AtomConfiguration(positions=positions, dipoles=np.zeros_like(positions), volume=1.0)
+
+    def test_closest_pair_beyond_neighbouring_cells_found(self):
+        # A 3 x 3 x 3 lattice 1.5 apart puts one atom in each of 27 cells of
+        # edge 1; P and Q sit 1.06 apart in cells two apart, while every
+        # candidate pair of that grid is at least 1.177 apart.  The search must
+        # widen its cells to find them.
+        lattice = np.array(list(itertools.product((0.0, 1.5, 3.0), repeat=3)))
+        positions = np.concatenate([lattice, [[0.99, 0.75, 0.75], [2.05, 0.75, 0.75]]]) * 1e-10
+        assert_matches_brute_force(positions)
+        assert min_pairwise_distance(AtomConfiguration(positions=positions, dipoles=np.zeros((29, 3)), volume=1.0)) == (
+            pytest.approx(1.06e-10, rel=1e-12)
+        )
+
+    def test_clustered_configuration_keeps_to_the_candidate_budget(self):
+        # 4999 atoms of a 17^3 lattice 1 nm apart and one atom 1 m away: the
+        # cluster fills a single cell, so all 12.5 million pairs are candidates.
+        # Expanded at once they would take over a gigabyte.
+        grid = np.arange(17) * 1e-9
+        positions = np.concatenate([np.stack(np.meshgrid(grid, grid, grid), axis=-1).reshape(-1, 3)[:4999], [[1.0, 1.0, 1.0]]])
+        tracemalloc.start()
+        try:
+            config = AtomConfiguration(positions=positions, dipoles=np.zeros_like(positions), volume=1.0)
+            violations = intimacy_violations(config, 2e10)  # 2/kM is 0.1 nm
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert min_pairwise_distance(config) == pytest.approx(1e-9, rel=1e-12)
+        assert violations == []
+        assert peak < 256 * CANDIDATE_BUDGET  # 16 MiB
 
     def test_off_axis_pairs_at_threshold_follow_the_distance(self, rng):
         # Pairs 2/kM apart along 3-4-5 and 18-24-40 diagonals.  Their squared
@@ -252,6 +348,11 @@ class TestOverlapEnergy:
             residual_overlap_energy(config, (0, 0), MU)
         with pytest.raises(ValueError):
             residual_overlap_energy(config, (0, 5), MU)
+
+    def test_nan_tolerance_rejected(self):
+        config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            residual_overlap_energy(config, (0, 1), MU, tol=math.nan)
 
     def test_tolerance_below_rounding_raises(self):
         config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])

@@ -24,19 +24,20 @@ HEAVY = ("numpy", "scipy", "scipy.special", "scipy.integrate", "scipy.sparse", "
 POOL = ("multiprocessing", "concurrent.futures.process")
 
 # Modules each entry point must leave out of sys.modules.  cutoff-window's
-# quadrature cross-check is a standard-library QUADPACK port, so it loads none.
+# quadrature cross-check is a standard-library QUADPACK port, so it loads none;
+# ensemble-check's spacing checks run on a numpy cell list.
 NOT_LOADED = {
     "import dipolegauge": HEAVY,
     "critical-density": HEAVY,
     "polarization": ("scipy.integrate", "scipy.sparse", "scipy.spatial"),
     "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial", *POOL),
-    "ensemble-check": ("scipy.integrate",),
+    "ensemble-check": ("scipy", "scipy.spatial", "scipy.sparse", "scipy.special"),
     "cutoff-window": HEAVY,
 }
 LOADED = {
     "polarization": ("numpy", "scipy.special"),
     "dicke-scan": ("numpy", "scipy.sparse"),
-    "ensemble-check": ("numpy", "scipy.spatial"),
+    "ensemble-check": ("numpy",),
 }
 
 # Runs `python -m dipolegauge.cli ARGV` in-process through runpy (or only
