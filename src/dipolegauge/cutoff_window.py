@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadpack import qagi
-from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value
+from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _require_finite
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -54,8 +54,7 @@ def transverse_self_energy(d: float, k_m) -> float:
     int k^2 L^2 dk = pi kM^3/4).
     """
     mu = _cutoff_value(k_m)
-    if d < 0.0:
-        raise ValueError(f"dipole magnitude must be nonnegative, got {d}")
+    _require_finite("d", d, positive=False)
     return mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
 
 

@@ -29,6 +29,9 @@ diagonal in this basis, so the returned state is supported on one block.
   max-row-sum norm of the lowest are tied; the tie goes to the largest k,
   the state a scan enters as the coupling grows, and marks the solve
   near-degenerate.
+
+scipy is imported only inside build_hamiltonian, sector_hamiltonians and
+ground_state, so importing this module and rwa scans load numpy alone.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ import functools
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .constants import _require_finite
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 DEFAULT_DIMENSION_CAP = 250_000
 FOCK_SCHEDULE_START = 8
@@ -232,6 +237,8 @@ def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def build_hamiltonian(p: DickeParams) -> sparse.csr_matrix:
     """Sparse symmetric Hamiltonian on |n> (x) |N/2, m>, photon index major."""
+    import scipy.sparse as sparse
+
     columns, values, present = _row_entries(p)
     indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
     return sparse.csr_matrix((values[present], columns[present], indptr), shape=(p.dimension, p.dimension))
@@ -248,6 +255,8 @@ def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_mat
     holds one state of each parity whatever the parity of N + 1, so a
     state's place in its sector is g // 2.
     """
+    import scipy.sparse as sparse
+
     h = build_hamiltonian(p)
     parity = parity_diagonal(p)
     blocks = []
@@ -295,6 +304,9 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     blocks smaller than 8 are diagonalized densely.  The residual
     ||Hv - Ev|| is checked against tol times the max-row-sum norm of H.
     """
+    import scipy.sparse as sparse
+    import scipy.sparse.linalg as splinalg
+
     if not isinstance(h, sparse.csr_matrix):
         h = sparse.csr_matrix(h)
     dim = h.shape[0]
@@ -495,13 +507,14 @@ def _scan_one(template: DickeParams, fom: float) -> ScanRow:
     )
 
 
-@functools.cache
 def _openblas_thread_controls() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS mapped into this process.
 
     numpy's and scipy's wheels bundle OpenBLAS under hashed file names, so
     the libraries are found among the mapped files; scipy's exports
     scipy_openblas_{get,set}_num_threads, numpy's the same with a 64_ suffix.
+    Not cached: scipy's library maps only when the Dicke solve first imports
+    scipy, after an RWA scan may already have looked (under 1 ms a lookup).
     """
     import ctypes
 
@@ -563,6 +576,9 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     for f in grid:
         _require_finite("fom grid value", f, positive=False)
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
+    if not template.rwa:
+        # ARPACK's solver maps scipy's OpenBLAS; load it before the budget looks for libraries
+        import scipy.sparse.linalg  # noqa: F401
     with _one_blas_thread():
         if workers > 1:
             import multiprocessing

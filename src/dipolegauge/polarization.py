@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
-from .constants import CutoffParameter, QuadratureError, _cutoff_value  # the two classes re-exported
+from ._igamma import gammainc3
+from .constants import CutoffParameter, QuadratureError, _cutoff_value, _require_finite  # the two classes re-exported
 
 FT_PREFACTOR = (2.0 * math.pi) ** -1.5  # symmetric Fourier convention
 
@@ -46,8 +46,7 @@ def suppression_factor(k_m, k: float) -> float:
     met when 1 - suppression_factor(k_radiation) stays small.
     """
     mu = _cutoff_value(k_m)
-    if k < 0.0:
-        raise ValueError(f"wavenumber must be nonnegative, got {k}")
+    _require_finite("k", k, positive=False)
     return mu * mu / (k * k + mu * mu)
 
 
@@ -55,14 +54,14 @@ def radial_envelope(k_m, r: float) -> float:
     """Radial switch-on factor of the far-zone kernel, in [0, 1).
 
     Closed form 1 - (1 + kM r + (kM r)^2/2) exp(-kM r); evaluated as the
-    regularized lower incomplete gamma P(3, kM r), which is stable for
-    small arguments where the closed form cancels catastrophically.
-    Grows like (kM r)^3/6 for kM r << 1 and tends to 1 from below.
+    regularized lower incomplete gamma P(3, kM r) (the standard-library
+    port of Cephes in _igamma), which is stable for small arguments where
+    the closed form cancels catastrophically.  Grows like (kM r)^3/6 for
+    kM r << 1 and tends to 1 from below.
     """
     mu = _cutoff_value(k_m)
-    if r < 0.0:
-        raise ValueError(f"distance must be nonnegative, got {r}")
-    return float(gammainc(3.0, mu * r))
+    _require_finite("r", r, positive=False)
+    return gammainc3(mu * r)
 
 
 def transverse_delta_k(k_m, k_vec) -> np.ndarray:
@@ -126,7 +125,8 @@ def _kernel_pieces(mu: float, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, n = _geometry(rel)
     s = mu * r
     nn = n[:, :, None] * n[:, None, :]
-    far = gammainc(3.0, s)[:, None, None] * (3.0 * nn - _IDENTITY3) / (4.0 * math.pi * r**3)[:, None, None]
+    envelope = np.array([gammainc3(x) for x in s.tolist()])
+    far = envelope[:, None, None] * (3.0 * nn - _IDENTITY3) / (4.0 * math.pi * r**3)[:, None, None]
     near = (mu * mu * np.exp(-s) / (8.0 * math.pi * r))[:, None, None] * (_IDENTITY3 + nn)
     return far, near
 
@@ -178,6 +178,17 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
     return (-(3.0 * nd[:, None] * n - dv) / (4.0 * math.pi * r**3)[:, None])[0]
 
 
+def _envelope_complement(s: np.ndarray) -> np.ndarray:
+    """1 - envelope = Q(3, s) = exp(-s) (1 + s + s^2/2) at each s = kM r, in that exact closed form.
+
+    Its terms are all positive, so for a float s it is within
+    4 eps Q + (1 + s + s^2/2) 2^-1074 of the exact Q(3, s): the relative
+    term while exp(-s) is a normal float, the absolute one once it is
+    subnormal or 0 (s above about 708).
+    """
+    return np.exp(-s) * (1.0 + s + s * s / 2.0)
+
+
 def total_residual_polarization(d, x_a, k_m, x) -> np.ndarray:
     """Sum of transverse and longitudinal polarization (C/m^2) at one point x."""
     return total_residual_polarization_many(d, x_a, k_m, _vector(x)[None, :])[0]
@@ -190,14 +201,15 @@ def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndar
     result is computed in the explicitly exponentially small form
     -(1-envelope)(3 (n.d) n - d)/(4 pi r^3)
     + kM^2 exp(-kM r) (d + (n.d) n)/(8 pi r),
-    which avoids subtractive cancellation at kM r >> 1.
+    which avoids subtractive cancellation at kM r >> 1; the complement
+    comes from _envelope_complement.
     """
     mu = _cutoff_value(k_m)
     dv = _vector(d)
     r, n = _geometry(np.asarray(points, dtype=float) - _vector(x_a))
     nd = _dot3(n, dv)
     s = mu * r
-    complement = gammaincc(3.0, s)
+    complement = _envelope_complement(s)
     dipole_part = -(complement / (4.0 * math.pi * r**3))[:, None] * (3.0 * nd[:, None] * n - dv)
     near_part = (mu * mu * np.exp(-s) / (8.0 * math.pi * r))[:, None] * (dv + nd[:, None] * n)
     return dipole_part + near_part

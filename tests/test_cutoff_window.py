@@ -47,6 +47,11 @@ class TestSelfEnergy:
         with pytest.raises(ValueError):
             transverse_self_energy(-1e-30, 1e10)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dipole_rejected(self, d):
+        with pytest.raises(ValueError, match=r"^d must be finite and nonnegative, got"):
+            transverse_self_energy(d, 1e10)
+
 
 class TestHydrogenShift:
     def test_half_inverse_bohr(self):

@@ -5,11 +5,13 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +462,59 @@ def fake_row(template, fom):
                    inversion=0.0, sx2_fraction=0.0, parity=1.0)
 
 
+# Run by test_blas_budget_covers_libraries_loaded_by_the_solve in a fresh
+# interpreter; argv[1] is the solve log.  Prints, per scan, whether every
+# library mapped before it got its thread count back.
+BLAS_BUDGET_CHILD = """
+import ctypes, json, os, sys
+from dipolegauge import dicke
+
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+
+
+def openblas():
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("", "64_"):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found[path] = (get, set_)
+    return found
+
+
+phase = None
+solve = dicke.ground_state
+
+
+def logged_solve(h, *args, **kwargs):
+    result = solve(h, *args, **kwargs)  # first, so that what the solve maps is seen too
+    counts = {path: get() for path, (get, _) in openblas().items()}
+    with open(sys.argv[1], "a") as log:
+        log.write(json.dumps({"phase": phase, "pid": os.getpid(), "counts": counts}) + "\\n")
+    return result
+
+
+dicke.ground_state = logged_solve
+dicke.os.cpu_count = lambda: 2
+restored = {}
+for phase, rwa, workers in [("rwa", True, 1), ("serial", False, 1), ("jobs2", False, 2)]:
+    for _, set_ in openblas().values():
+        set_(2)
+    before = {path: get() for path, (get, _) in openblas().items()}
+    template = dicke.DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=rwa)
+    rows = dicke.scan_coupling(template, [0.5, 1.5], max_workers=workers)
+    assert all(row.error is None for row in rows), rows
+    restored[phase] = all(get() == before[path] for path, (get, _) in openblas().items() if path in before)
+print(json.dumps(restored))
+"""
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Worker counts of the process pools scans start; each runs its map in-process."""
@@ -565,6 +620,35 @@ class TestScan:
         finally:
             for (_, set_), count in zip(controls, saved):
                 set_(count)
+
+    @needs_fork
+    def test_blas_budget_covers_libraries_loaded_by_the_solve(self, tmp_path):
+        """Every OpenBLAS is on one thread in every Dicke solve, also when scipy loads late.
+
+        A fresh interpreter imports dicke (which loads no scipy), runs an RWA
+        scan (numpy only), then Dicke scans serially and with two workers.
+        The libraries are found from /proc/self/maps here, not through dicke;
+        a wrapper on dicke.ground_state logs their counts at the end of every
+        solve, workers included, and each scan must restore the counts it found.
+        """
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("no procfs to find the mapped libraries")
+        log = tmp_path / "solves.jsonl"
+        src = str(Path(dicke.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", BLAS_BUDGET_CHILD, str(log)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        restored = json.loads(child.stdout)
+        assert restored == {"rwa": True, "serial": True, "jobs2": True}
+        solves = [json.loads(line) for line in log.read_text().splitlines()]
+        assert {solve["phase"] for solve in solves} == {"serial", "jobs2"}
+        assert any(solve["pid"] != solves[0]["pid"] for solve in solves if solve["phase"] == "jobs2")
+        for solve in solves:
+            assert len(solve["counts"]) >= 2, solve  # numpy's OpenBLAS and scipy's
+            assert set(solve["counts"].values()) == {1}, solve
 
     @needs_fork
     def test_pool_rows_equal_serial_rows_rwa(self, monkeypatch):

@@ -349,6 +349,19 @@ class TestOverlapEnergy:
         with pytest.raises(ValueError):
             residual_overlap_energy(config, (0, 5), MU)
 
+    def test_separation_is_the_checked_distance(self):
+        # a 1-D np.linalg.norm (a dot product) differed in the last bit on about 10 % of these
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            config = AtomConfiguration(
+                positions=rng.normal(size=(2, 3)) * (4.0 / MU) + rng.normal(size=3) * (100.0 / MU),
+                dipoles=D0 * rng.normal(size=(2, 3)),
+                volume=1e-27,
+            )
+            for pair in ((0, 1), (1, 0)):
+                report = residual_overlap_energy(config, pair, MU)
+                assert report.separation == min_pairwise_distance(config)
+
     def test_nan_tolerance_rejected(self):
         config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])
         with pytest.raises(ValueError, match="tol must be finite and positive"):

@@ -23,30 +23,38 @@ HEAVY = ("numpy", "scipy", "scipy.special", "scipy.integrate", "scipy.sparse", "
 # what a dicke-scan process pool needs; a serial scan must not pay for it
 POOL = ("multiprocessing", "concurrent.futures.process")
 
-# Modules each entry point must leave out of sys.modules.  cutoff-window's
-# quadrature cross-check is a standard-library QUADPACK port, so it loads none;
-# ensemble-check's spacing checks run on a numpy cell list.
+SCIPY = HEAVY[1:]
+
+# Modules each entry point must leave out of sys.modules.  Only the Dicke
+# coupling's ARPACK solve needs scipy: cutoff-window's quadrature cross-check
+# is a standard-library QUADPACK port, the polarization envelope a
+# standard-library port of Cephes' incomplete gamma, ensemble-check's spacing
+# checks run on a numpy cell list and --rwa scans on numpy's dense solver.
 NOT_LOADED = {
     "import dipolegauge": HEAVY,
+    "import dipolegauge.dicke": SCIPY,
     "critical-density": HEAVY,
-    "polarization": ("scipy.integrate", "scipy.sparse", "scipy.spatial"),
+    "polarization": SCIPY,
     "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial", *POOL),
-    "ensemble-check": ("scipy", "scipy.spatial", "scipy.sparse", "scipy.special"),
+    "dicke-scan --rwa": (*SCIPY, *POOL),
+    "ensemble-check": SCIPY,
     "cutoff-window": HEAVY,
 }
 LOADED = {
-    "polarization": ("numpy", "scipy.special"),
+    "import dipolegauge.dicke": ("numpy",),
+    "polarization": ("numpy",),
     "dicke-scan": ("numpy", "scipy.sparse"),
+    "dicke-scan --rwa": ("numpy",),
     "ensemble-check": ("numpy",),
 }
 
 # Runs `python -m dipolegauge.cli ARGV` in-process through runpy (or only
-# imports the package when ARGV is null), then prints the loaded modules.
+# imports the module when ARGV is a module name), then prints the loaded modules.
 CHILD = """
-import contextlib, io, json, runpy, sys
+import contextlib, importlib, io, json, runpy, sys
 argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-if argv is None:
-    import dipolegauge
+if isinstance(argv, str):
+    importlib.import_module(argv)
 else:
     sys.argv = ["dipolegauge", *argv]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -84,9 +92,11 @@ def loaded_by(tmp_path_factory) -> dict[str, set[str]]:
     config = tmp_path_factory.mktemp("imports") / "atoms.json"
     config.write_text(json.dumps(SMALL_CONFIG))
     commands = dict(cli_commands(str(config)))
+    commands["dicke-scan --rwa"] = [*commands["dicke-scan"], "--rwa"]
+    commands.update({name: name.split()[1] for name in NOT_LOADED if name.startswith("import ")})
     children = {
         name: subprocess.Popen(
-            [sys.executable, "-c", CHILD, json.dumps(commands.get(name)), json.dumps(HEAVY + POOL)],
+            [sys.executable, "-c", CHILD, json.dumps(commands[name]), json.dumps(HEAVY + POOL)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

@@ -50,6 +50,14 @@ class TestRadialEnvelope:
         with pytest.raises(ValueError):
             radial_envelope(MU, -1e-12)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_rejected(self, r):
+        with pytest.raises(ValueError, match=r"^r must be finite and nonnegative, got"):
+            radial_envelope(MU, r)
+
+    def test_overflowing_argument_is_one(self):
+        assert radial_envelope(MAX_CUTOFF_WAVENUMBER, 1e300) == 1.0
+
     @given(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0))
     def test_monotone_and_bounded(self, x1, x2):
         # beyond x ~ 35 the complement drops below double resolution
@@ -77,6 +85,11 @@ class TestSuppressionFactor:
     def test_negative_wavenumber_rejected(self):
         with pytest.raises(ValueError):
             suppression_factor(MU, -1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wavenumber_rejected(self, k):
+        with pytest.raises(ValueError, match=r"^k must be finite and nonnegative, got"):
+            suppression_factor(MU, k)
 
     def test_cutoff_parameter_wrapper(self):
         assert suppression_factor(CutoffParameter(MU), MU) == 0.5
