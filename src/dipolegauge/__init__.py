@@ -26,8 +26,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "constants": (
-        "CONSTANTS", "PhysicalConstants", "derived_constants", "hydrogen_wavenumber", "CutoffParameter",
-        "QuadratureError",
+        "CONSTANTS", "PhysicalConstants", "derived_constants", "hydrogen_wavenumber", "QuadratureError",
     ),
     "coupling": (
         "AtomSpecies", "FigureOfMeritReport", "ModeSpec", "coupling_g", "critical_density",

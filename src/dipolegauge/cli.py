@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__
-from .constants import BOHR_RADIUS, CONSTANTS, wavelength_to_omega
+from .constants import BOHR_RADIUS, CONSTANTS, _cutoff_value, wavelength_to_omega
 from .coupling import (
     AtomSpecies,
     crystalline_comparison,
@@ -97,9 +97,7 @@ def _cutoff_from_args(args) -> float:
         value = args.kM_inv_bohr / BOHR_RADIUS
     else:
         raise CliError("a cutoff wavenumber is required (--kM or --kM-inv-bohr)")
-    if value <= 0.0:
-        raise CliError(f"cutoff wavenumber must be positive, got {value}")
-    return value
+    return _cutoff_value(value)
 
 
 def _finite_float(text: str) -> float:
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"dipolegauge: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"dipolegauge: invalid input: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # QuadratureError, solver and truncation failures

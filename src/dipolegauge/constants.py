@@ -1,9 +1,10 @@
-"""Physical constants (CODATA 2018, SI), conversions and the cutoff parameter.
+"""Physical constants (CODATA 2018, SI), conversions and input range checks.
 
 Everything downstream works in SI; atomic-unit scales are derived
 fields of the constant set.  Values are hardcoded rather than pulled from
 scipy.constants so results do not shift with the CODATA revision shipped
-by the installed scipy.  The cutoff wavenumber type and QuadratureError
+by the installed scipy.  The range check every public numeric parameter
+goes through (_require), the cutoff wavenumber limit and QuadratureError
 live here too: they need only the standard library, and every module
 imports this one.
 """
@@ -79,13 +80,11 @@ def hydrogen_wavenumber() -> float:
 
 def wavelength_to_omega(lam: float) -> float:
     """Vacuum wavelength (m) -> angular frequency (rad/s)."""
-    if lam <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {lam}")
-    return 2.0 * math.pi * SPEED_OF_LIGHT / lam
+    return 2.0 * math.pi * SPEED_OF_LIGHT / _require("lam", lam, "positive")
 
 
 # ---------------------------------------------------------------------------
-# Cutoff wavenumber and quadrature failure, shared by every module
+# Range checks and quadrature failure, shared by every module
 # ---------------------------------------------------------------------------
 
 
@@ -97,36 +96,34 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-@dataclass(frozen=True)
-class CutoffParameter:
-    """Cutoff wavenumber of the Lorentzian k-space filter (1/m)."""
-
-    k_m: float
-
-    def __post_init__(self):
-        _cutoff_value(self.k_m)
-
-    @classmethod
-    def from_inverse_bohr(cls, value: float) -> "CutoffParameter":
-        return cls(value / BOHR_RADIUS)
-
-
 # Largest cutoff wavenumber accepted (1/m).  Energies and densities carry
 # kM^3, which leaves the floats above about 5.6e102 /m, and kM^3/eps0, above
 # about 3e99 /m; the limit keeps a wide margin for the factors beside them.
 MAX_CUTOFF_WAVENUMBER = 1e90
 
 
-def _require_finite(name: str, value: float, positive: bool) -> None:
-    """Refuse NaN, +/-inf and values below zero (or at zero when positive)."""
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+def _require(name: str, value, kind: str, high: float = math.inf, unit: str = "") -> float:
+    """float(value), or ValueError naming name unless it is finite, of kind and at most high.
+
+    kind is "positive" (above zero), "nonnegative" (at least zero) or
+    "finite" (either sign); unit follows high in the message.  Every
+    comparison is False for NaN, so NaN is refused with the rest, and so is
+    a value float() cannot convert, such as None.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    above_low = x > 0.0 if kind == "positive" else x >= 0.0 if kind == "nonnegative" else x > -math.inf
+    if above_low and x <= high and x < math.inf:
+        return x
+    if high < math.inf:
+        rule = f"{kind} and at most {high:g}{unit}"
+    else:
+        rule = "finite" if kind == "finite" else f"finite and {kind}"
+    raise ValueError(f"{name} must be {rule}, got {x}")
 
 
 def _cutoff_value(k_m) -> float:
-    """Accept either a CutoffParameter or a bare wavenumber in 1/m, up to MAX_CUTOFF_WAVENUMBER."""
-    k = float(getattr(k_m, "k_m", k_m))
-    if not 0.0 < k <= MAX_CUTOFF_WAVENUMBER:  # NaN included
-        raise ValueError(f"cutoff wavenumber must be positive and at most {MAX_CUTOFF_WAVENUMBER:g} /m, got {k}")
-    return k
+    """The cutoff wavenumber in 1/m, refused outside (0, MAX_CUTOFF_WAVENUMBER]."""
+    return _require("cutoff wavenumber", k_m, "positive", MAX_CUTOFF_WAVENUMBER, " /m")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constants import ATOMIC_MASS_UNIT, CONSTANTS, wavelength_to_omega
+from .constants import ATOMIC_MASS_UNIT, CONSTANTS, _require, wavelength_to_omega
 
 # Tags identifying which formula produced a figure of merit
 METHOD_COUPLING = "coupling"
@@ -41,17 +41,12 @@ class AtomSpecies:
     gamma_hwhm: float  # natural linewidth, half width at half maximum, angular (rad/s)
     mass: float  # atomic mass (kg)
     crystalline_density: float | None = None  # number density of the solid (1/m^3)
-    dipole: float | None = None  # transition dipole moment (C*m); derived from gamma if absent
 
     def __post_init__(self):
-        if self.lambda_a <= 0.0:
-            raise ValueError(f"{self.name}: wavelength must be positive, got {self.lambda_a}")
-        if self.gamma_hwhm <= 0.0:
-            raise ValueError(f"{self.name}: linewidth must be positive, got {self.gamma_hwhm}")
-        if self.mass <= 0.0:
-            raise ValueError(f"{self.name}: mass must be positive, got {self.mass}")
-        if self.crystalline_density is not None and self.crystalline_density <= 0.0:
-            raise ValueError(f"{self.name}: crystalline density must be positive")
+        for field in ("lambda_a", "gamma_hwhm", "mass", "crystalline_density"):
+            value = getattr(self, field)
+            if value is not None:
+                _require(f"{self.name}: {field}", value, "positive")
 
     @property
     def omega_a(self) -> float:
@@ -62,12 +57,6 @@ class AtomSpecies:
     def quality(self) -> float:
         return quality_factor(self.omega_a, self.gamma_hwhm)
 
-    def dipole_moment(self) -> float:
-        """Stored dipole moment, or the one implied by the linewidth (C*m)."""
-        if self.dipole is not None:
-            return self.dipole
-        return dipole_from_linewidth(self.omega_a, self.gamma_hwhm)
-
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -77,8 +66,8 @@ class ModeSpec:
     volume: float
 
     def __post_init__(self):
-        if self.omega <= 0.0 or self.volume <= 0.0:
-            raise ValueError("mode frequency and volume must be positive")
+        _require("omega", self.omega, "positive")
+        _require("volume", self.volume, "positive")
 
 
 @dataclass(frozen=True)
@@ -102,18 +91,18 @@ class FigureOfMeritReport:
 
 def coupling_g(mode: ModeSpec, d: float) -> float:
     """Single-dipole coupling constant sqrt(omega d^2/(2 hbar eps0 V)) in rad/s."""
-    if d < 0.0:
-        raise ValueError(f"dipole moment must be nonnegative, got {d}")
+    d = _require("d", d, "nonnegative")
     c = CONSTANTS
     return math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
 
 
 def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> FigureOfMeritReport:
     """N g^2/(omega omega_A) from an explicit coupling constant."""
-    if n_atoms < 1:
-        raise ValueError(f"atom count must be at least 1, got {n_atoms}")
-    if g < 0.0 or omega <= 0.0 or omega_a <= 0.0:
-        raise ValueError("coupling must be nonnegative and frequencies positive")
+    if not 1.0 <= n_atoms < math.inf:  # NaN included
+        raise ValueError(f"n_atoms must be finite and at least 1, got {n_atoms}")
+    g = _require("g", g, "nonnegative")
+    omega = _require("omega", omega, "positive")
+    omega_a = _require("omega_a", omega_a, "positive")
     return FigureOfMeritReport(
         value=n_atoms * g * g / (omega * omega_a),
         method=METHOD_COUPLING,
@@ -126,10 +115,9 @@ def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> F
 
 def fom_density_q(density: float, lambda_a: float, quality: float) -> FigureOfMeritReport:
     """Figure of merit (N/V) lambda_A^3 (3/8 pi^2) / Q from a number density."""
-    if density < 0.0:
-        raise ValueError(f"density must be nonnegative, got {density}")
-    if lambda_a <= 0.0 or quality <= 0.0:
-        raise ValueError("wavelength and quality factor must be positive")
+    density = _require("density", density, "nonnegative")
+    lambda_a = _require("lambda_a", lambda_a, "positive")
+    quality = _require("quality", quality, "positive")
     return FigureOfMeritReport(
         value=density * lambda_a**3 * 3.0 / (8.0 * math.pi**2) / quality,
         method=METHOD_DENSITY_QUALITY,
@@ -147,8 +135,7 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
     3 e^2 a0^2 (the ground-state expectation of d^2); with those inputs
     the density-quality form reduces to this one exactly.
     """
-    if density < 0.0:
-        raise ValueError(f"density must be nonnegative, got {density}")
+    density = _require("density", density, "nonnegative")
     return FigureOfMeritReport(
         value=density * 16.0 * math.pi * CONSTANTS.a0**3,
         method=METHOD_DENSITY_HYDROGENLIKE,
@@ -158,8 +145,8 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
 
 def critical_density(lambda_a: float, quality: float) -> float:
     """Density 8 pi^2 Q/(3 lambda_A^3) at which the figure of merit reaches 1."""
-    if lambda_a <= 0.0 or quality <= 0.0:
-        raise ValueError("wavelength and quality factor must be positive")
+    lambda_a = _require("lambda_a", lambda_a, "positive")
+    quality = _require("quality", quality, "positive")
     return 8.0 * math.pi**2 * quality / (3.0 * lambda_a**3)
 
 
@@ -169,17 +156,15 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
     Inverts gamma = omega_A^3 d^2/(6 pi eps0 hbar c^3) with gamma the
     angular half width at half maximum (half the decay rate).
     """
-    if omega_a <= 0.0 or gamma_hwhm <= 0.0:
-        raise ValueError("frequency and linewidth must be positive")
+    omega_a = _require("omega_a", omega_a, "positive")
+    gamma_hwhm = _require("gamma_hwhm", gamma_hwhm, "positive")
     c = CONSTANTS
     return math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / omega_a**3)
 
 
 def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
     """Resonance quality factor omega_A / gamma_hwhm."""
-    if omega_a <= 0.0 or gamma_hwhm <= 0.0:
-        raise ValueError("frequency and linewidth must be positive")
-    return omega_a / gamma_hwhm
+    return _require("omega_a", omega_a, "positive") / _require("gamma_hwhm", gamma_hwhm, "positive")
 
 
 def species_critical_density(species: AtomSpecies) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadpack import qagi
-from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _require_finite
+from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _require
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -54,7 +54,7 @@ def transverse_self_energy(d: float, k_m) -> float:
     int k^2 L^2 dk = pi kM^3/4).
     """
     mu = _cutoff_value(k_m)
-    _require_finite("d", d, positive=False)
+    d = _require("d", d, "nonnegative")
     return mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
 
 
@@ -71,8 +71,7 @@ def hydrogen_first_order_shift(k_m) -> float:
 
 def _hydrogen_shift_quad(k_m, tol: float) -> tuple[float, float]:
     mu = _cutoff_value(k_m)
-    if not tol > 0.0:  # NaN included
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _require("tol", tol, "positive")
     c = CONSTANTS
     a0 = c.a0
     # radial integral in units of a0: int r^4 exp(-2 r/a0) dr = a0^5 int u^4 exp(-2u) du
@@ -117,12 +116,10 @@ def cutoff_window(
 ) -> CutoffWindow:
     """Evaluate both window metrics and the combined admissibility verdict."""
     mu = _cutoff_value(k_m)
-    if not 0.0 < k_radiation <= MAX_CUTOFF_WAVENUMBER:  # NaN included; k^2 overflows above about 1.3e154 /m
-        raise ValueError(
-            f"radiation wavenumber must be positive and at most {MAX_CUTOFF_WAVENUMBER:g} /m, got {k_radiation}"
-        )
-    if not (lower_threshold > 0.0 and upper_threshold > 0.0):  # NaN included
-        raise ValueError("thresholds must be positive")
+    # the cutoff's limit also keeps k_radiation^2 finite (it overflows above about 1.3e154 /m)
+    k_radiation = _require("radiation wavenumber", k_radiation, "positive", MAX_CUTOFF_WAVENUMBER, " /m")
+    lower_threshold = _require("lower_threshold", lower_threshold, "positive")
+    upper_threshold = _require("upper_threshold", upper_threshold, "positive")
     # complement of the filter value, written to stay exact for k << kM
     lower_violation = k_radiation**2 / (k_radiation**2 + mu * mu)
     upper_ratio = rydberg_shift_ratio(mu)

@@ -39,13 +39,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import _require_finite
+from .constants import _require
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -79,6 +80,17 @@ class DimensionError(ValueError):
     """Requested matrix exceeds DEFAULT_DIMENSION_CAP."""
 
 
+def _require_count(name: str, value) -> int:
+    """value as an int of at least 1; Python and numpy integers pass, floats do not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
+
+
 def _require_dimension(p: "DickeParams") -> None:
     if p.dimension > DEFAULT_DIMENSION_CAP:
         raise DimensionError(f"dimension {p.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
@@ -96,13 +108,11 @@ class DickeParams:
     n_max: int = FOCK_SCHEDULE_START  # Fock truncation (highest photon number kept)
 
     def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ValueError(f"atom count must be at least 1, got {self.n_atoms}")
-        _require_finite("omega", self.omega, positive=True)
-        _require_finite("omega_a", self.omega_a, positive=True)
-        _require_finite("g_collective", self.g_collective, positive=False)
-        if self.n_max < 1:
-            raise ValueError(f"Fock truncation must be at least 1, got {self.n_max}")
+        _require_count("atom count", self.n_atoms)
+        _require("omega", self.omega, "positive")
+        _require("omega_a", self.omega_a, "positive")
+        _require("g_collective", self.g_collective, "nonnegative")
+        _require_count("Fock truncation", self.n_max)
 
     @classmethod
     def from_figure_of_merit(
@@ -115,7 +125,9 @@ class DickeParams:
         n_max: int = FOCK_SCHEDULE_START,
     ) -> "DickeParams":
         """Parametrize by the figure of merit: g = sqrt(F omega omega_A)."""
-        _require_finite("fom", fom, positive=False)
+        fom = _require("fom", fom, "nonnegative")
+        omega = _require("omega", omega, "positive")
+        omega_a = _require("omega_a", omega_a, "positive")
         return cls(
             n_atoms=n_atoms,
             omega=omega,
@@ -307,6 +319,7 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
+    tol = _require("tol", tol, "positive")
     if not isinstance(h, sparse.csr_matrix):
         h = sparse.csr_matrix(h)
     dim = h.shape[0]
@@ -410,8 +423,10 @@ def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
 def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
     """Expectation values of a normalized state in the product basis.
 
-    energy is the eigenvalue that came with the state and is reported as given.
+    energy is the eigenvalue that came with the state and is reported as
+    given; it must be finite.
     """
+    energy = _require("energy", energy, "finite")
     vec = np.asarray(state, dtype=float)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
@@ -447,9 +462,9 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     amplitude x (per sqrt(N)) and spin angle t gives 0 up to the critical
     point and (F omega_A / 4 omega)(1 - 1/F^2) beyond it.
     """
-    _require_finite("fom", fom, positive=False)
-    _require_finite("omega", omega, positive=True)
-    _require_finite("omega_a", omega_a, positive=True)
+    fom = _require("fom", fom, "nonnegative")
+    omega = _require("omega", omega, "positive")
+    omega_a = _require("omega_a", omega_a, "positive")
     if fom <= 1.0:
         return 0.0
     return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
@@ -570,11 +585,8 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     set to one thread, restored afterwards, and the workers inherit that
     setting.  A worker that dies raises BrokenProcessPool.
     """
-    if max_workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {max_workers}")
-    grid = sorted(float(f) for f in fom_grid)
-    for f in grid:
-        _require_finite("fom grid value", f, positive=False)
+    max_workers = _require_count("worker count", max_workers)
+    grid = sorted(_require("fom grid value", f, "nonnegative") for f in fom_grid)
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
     if not template.rwa:
         # ARPACK's solver maps scipy's OpenBLAS; load it before the budget looks for libraries
@@ -599,6 +611,7 @@ def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | N
     Linear interpolation between the bracketing grid points; None when the
     scan never crosses.
     """
+    threshold = _require("threshold", threshold, "nonnegative")
     previous = None
     for row in rows:
         if row.photon_fraction is None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, QuadratureError, _cutoff_value, _require_finite
+from .constants import CONSTANTS, QuadratureError, _cutoff_value, _require
 from .coupling import AtomSpecies, FigureOfMeritReport, fom_density_q
 
 # Cell offsets (dx, dy, dz) >= (0, 0, 0) in lexicographic order: an atom's own
@@ -117,13 +117,14 @@ class AtomConfiguration:
             )
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(dipoles))):
             raise ValueError("positions and dipoles must be finite")
-        _require_finite("volume", self.volume, positive=True)
+        volume = _require("volume", self.volume, "positive")
         min_distance = _closest_pair_distance(positions) if len(positions) >= 2 else math.nan
         if min_distance == 0.0:
             # distances come from squared differences, which underflow to 0 below about 1e-154 m
             raise ValueError("positions must be pairwise distinct (atoms closer than about 1e-154 m coincide)")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "dipoles", dipoles)
+        object.__setattr__(self, "volume", volume)
         object.__setattr__(self, "_min_distance", min_distance)
 
     def __len__(self) -> int:
@@ -133,11 +134,13 @@ class AtomConfiguration:
 def load_configuration(path) -> AtomConfiguration:
     """Read a configuration from JSON (positions_m, dipoles_Cm, volume_m3)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a configuration is a JSON object, got {type(payload).__name__}")
     try:
         return AtomConfiguration(
             positions=np.asarray(payload["positions_m"], dtype=float),
             dipoles=np.asarray(payload["dipoles_Cm"], dtype=float),
-            volume=float(payload["volume_m3"]),
+            volume=payload["volume_m3"],
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing configuration key {exc}") from None
@@ -238,9 +241,10 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
     range at most once, at the end, however small they are.
     """
     mu = _cutoff_value(k_m)
-    x = _scaled_separation(mu, separation)
+    x = _scaled_separation(mu, _require("separation", separation, "positive"))
     poly = (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0) / x**3
-    (f_a, e_a), (f_b, e_b) = math.frexp(abs(d_a)), math.frexp(abs(d_b))
+    d_a, d_b = _require("d_a", d_a, "nonnegative"), _require("d_b", d_b, "nonnegative")
+    (f_a, e_a), (f_b, e_b) = math.frexp(d_a), math.frexp(d_b)
     return _finite_overlap(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b, separation)
 
 
@@ -282,7 +286,7 @@ def residual_overlap_energy(
     exceeds it.
     """
     mu = _cutoff_value(k_m)
-    _require_finite("tol", tol, positive=True)
+    tol = _require("tol", tol, "positive")
     i, j = pair
     if i == j:
         raise ValueError("pair indices must be distinct")

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ._igamma import gammainc3
-from .constants import CutoffParameter, QuadratureError, _cutoff_value, _require_finite  # the two classes re-exported
+from .constants import _cutoff_value, _require
 
 FT_PREFACTOR = (2.0 * math.pi) ** -1.5  # symmetric Fourier convention
 
@@ -46,7 +46,7 @@ def suppression_factor(k_m, k: float) -> float:
     met when 1 - suppression_factor(k_radiation) stays small.
     """
     mu = _cutoff_value(k_m)
-    _require_finite("k", k, positive=False)
+    k = _require("k", k, "nonnegative")
     return mu * mu / (k * k + mu * mu)
 
 
@@ -60,7 +60,7 @@ def radial_envelope(k_m, r: float) -> float:
     kM r << 1 and tends to 1 from below.
     """
     mu = _cutoff_value(k_m)
-    _require_finite("r", r, positive=False)
+    r = _require("r", r, "nonnegative")
     return gammainc3(mu * r)
 
 

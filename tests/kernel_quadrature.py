@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from dipolegauge.polarization import QuadratureError, _cutoff_value, _vector
+from dipolegauge.constants import QuadratureError, _cutoff_value
+from dipolegauge.polarization import _vector
 
 _IDENTITY3 = np.eye(3)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -14,9 +14,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc
 
-from dipolegauge.constants import CONSTANTS
+from dipolegauge.constants import CONSTANTS, QuadratureError, _cutoff_value
 from dipolegauge.ensemble import AtomConfiguration, OverlapReport, overlap_envelope_bound
-from dipolegauge.polarization import QuadratureError, _cutoff_value, total_residual_polarization_many
+from dipolegauge.polarization import total_residual_polarization_many
 
 # Per-atom field truncation radius for the overlap quadrature, in units of
 # 1/kM beyond half the separation; the discarded region then carries a

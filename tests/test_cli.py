@@ -321,6 +321,31 @@ class TestEnsembleCheck:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
 
+    def test_config_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", str(path), "--kM", "1e10"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"dipolegauge: invalid input: {path}: a configuration is a JSON object, got list"]
+
+    def test_config_volume_not_a_number_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "volume_m3": None}))
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", str(path), "--kM", "1e10"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["dipolegauge: invalid input: volume must be a number, got None"]
+
+    @pytest.mark.parametrize("cutoff, shown", [(["--kM", "-1"], "-1.0"), (["--kM-inv-bohr", "0"], "0.0")])
+    def test_cutoff_out_of_range_exits_2_before_reading_config(self, capsys, cutoff, shown):
+        code, out, err = run_cli(capsys, ["ensemble-check", "--config", "/nonexistent.json", *cutoff])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"dipolegauge: invalid input: cutoff wavenumber must be positive and at most 1e+90 /m, got {shown}"
+        ]
+
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["ensemble-check", "--config", "/nonexistent.json", "--kM", "1e10"])
         assert code == 2

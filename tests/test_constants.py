@@ -10,7 +10,7 @@ from dipolegauge.constants import (
     PLANCK,
     RYDBERG,
     SPEED_OF_LIGHT,
-    CutoffParameter,
+    _cutoff_value,
     derived_constants,
     hydrogen_wavenumber,
     wavelength_to_omega,
@@ -78,5 +78,11 @@ def test_nonpositive_wavelength_rejected(bad):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nextafter(MAX_CUTOFF_WAVENUMBER, math.inf), 1e200, math.inf, math.nan])
 def test_cutoff_outside_range_rejected(bad):
     with pytest.raises(ValueError, match="positive and at most 1e\\+90 /m"):
-        CutoffParameter(bad)
-    assert CutoffParameter(MAX_CUTOFF_WAVENUMBER).k_m == MAX_CUTOFF_WAVENUMBER
+        _cutoff_value(bad)
+    assert _cutoff_value(MAX_CUTOFF_WAVENUMBER) == MAX_CUTOFF_WAVENUMBER
+
+
+@pytest.mark.parametrize("bad", [None, "abc", [1.0, 2.0]])
+def test_non_number_rejected_by_name(bad):
+    with pytest.raises(ValueError, match="^cutoff wavenumber must be a number, got"):
+        _cutoff_value(bad)

@@ -81,7 +81,7 @@ class TestHydrogenShift:
             hydrogen_shift_numeric(1e10, tol=0.0)
 
     def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(ValueError, match="^tol must be finite and positive, got nan"):
             hydrogen_shift_numeric(1e10, tol=math.nan)
 
 
@@ -140,7 +140,7 @@ class TestWindow:
 
     @pytest.mark.parametrize("threshold", ["lower_threshold", "upper_threshold"])
     def test_nan_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError, match="thresholds must be positive"):
+        with pytest.raises(ValueError, match=f"^{threshold} must be finite and positive, got nan"):
             cutoff_window(1e7, 1e10, **{threshold: math.nan})
 
     def test_radiation_wavenumber_limit(self):

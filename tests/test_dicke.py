@@ -117,6 +117,17 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             DickeParams(**{**fields, name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2"])
+    @pytest.mark.parametrize("name, label", [("n_atoms", "atom count"), ("n_max", "Fock truncation")])
+    def test_non_integer_count_refused(self, name, label, value):
+        fields = dict(n_atoms=2, omega=1.0, omega_a=1.0, g_collective=0.5)
+        with pytest.raises(ValueError, match=f"^{label} must be an integer, got"):
+            DickeParams(**{**fields, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = DickeParams(n_atoms=np.int64(3), omega=1.0, omega_a=1.0, g_collective=0.5, n_max=np.int32(4))
+        assert p.dimension == 20
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_figure_of_merit_named(self, value):
         with pytest.raises(ValueError, match="^fom must be finite"):
@@ -715,6 +726,12 @@ class TestScan:
         assert built == tried
         assert len(solved) == 2 * len(built)
         assert [a + b for a, b in zip(solved[::2], solved[1::2])] == [(n + 1) * (template.n_atoms + 1) for n in tried]
+
+    @pytest.mark.parametrize("workers", [math.nan, 2.0, 1.5])
+    def test_non_integer_worker_count_refused(self, workers):
+        template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)
+        with pytest.raises(ValueError, match="^worker count must be an integer, got"):
+            scan_coupling(template, [0.5], max_workers=workers)
 
     def test_negative_grid_rejected(self):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, MAX_CUTOFF_WAVENUMBER
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError
 from dipolegauge.coupling import default_species_registry
 from dipolegauge.cutoff_window import transverse_self_energy
 from dipolegauge.ensemble import (
@@ -22,7 +22,6 @@ from dipolegauge.ensemble import (
     config_figure_of_merit,
     residual_overlap_energy,
 )
-from dipolegauge.polarization import QuadratureError
 from conftest import random_rotation
 from overlap_quadrature import adaptive_gk21, quadrature_overlap_energy
 

@@ -68,7 +68,7 @@ print(json.dumps([name for name in watched if name in sys.modules]))
 
 PUBLIC_NAMES = sorted(
     """
-    AtomConfiguration AtomSpecies CONSTANTS CutoffParameter CutoffWindow DickeParams
+    AtomConfiguration AtomSpecies CONSTANTS CutoffWindow DickeParams
     FigureOfMeritReport GroundStateReport ModeSpec OverlapReport PerturbationReport
     PhysicalConstants QuadratureError ScanRow build_hamiltonian config_figure_of_merit
     coupling_g critical_density crossing_estimate crystalline_comparison cutoff_window

@@ -8,7 +8,6 @@ from dipolegauge.constants import MAX_CUTOFF_WAVENUMBER
 from dipolegauge.polarization import (
     FT_PREFACTOR,
     MIN_SEPARATION,
-    CutoffParameter,
     _kernel_pieces,
     longitudinal_dipole_polarization,
     radial_envelope,
@@ -91,10 +90,10 @@ class TestSuppressionFactor:
         with pytest.raises(ValueError, match=r"^k must be finite and nonnegative, got"):
             suppression_factor(MU, k)
 
-    def test_cutoff_parameter_wrapper(self):
-        assert suppression_factor(CutoffParameter(MU), MU) == 0.5
-        with pytest.raises(ValueError):
-            CutoffParameter(-1.0)
+    def test_cutoff_validated(self):
+        assert suppression_factor(MU, MU) == 0.5
+        with pytest.raises(ValueError, match="^cutoff wavenumber must be positive"):
+            suppression_factor(-1.0, MU)
 
 
 class TestKSpaceKernel:
