@@ -23,9 +23,9 @@ from .coupling import (
 )
 from .cutoff_window import cutoff_window, perturbation_report
 
-# numpy, scipy and the modules built on them (dicke, ensemble, polarization)
-# are imported inside the subcommands that use them, so critical-density
-# starts without them and the others load only what they need.
+# numpy, scipy and the modules built on them (dicke, ensemble) are imported
+# inside the subcommands that use them, so critical-density, cutoff-window
+# and polarization start without them and the others load only what they need.
 
 SCHEMA_VERSION = 1
 # Largest figure-of-merit grid dicke-scan accepts; each point is a full ground-state solve.
@@ -222,9 +222,7 @@ def cmd_dicke_scan(args) -> int:
 
 
 def cmd_polarization(args) -> int:
-    import numpy as np
-
-    from .polarization import radial_envelope, suppression_factor, transverse_delta_real_exact
+    from .polarization import _kernel_terms, radial_envelope, suppression_factor
 
     k_m = _cutoff_from_args(args)
     payload: dict = {"schema_version": SCHEMA_VERSION, "k_M_per_m": k_m}
@@ -241,18 +239,16 @@ def cmd_polarization(args) -> int:
         columns += ["k_per_m", "suppression_factor"]
     if args.kernel is not None:
         try:
-            x = np.asarray([float(part) for part in args.kernel.split(",")], dtype=float)
+            x = [float(part) for part in args.kernel.split(",")]
         except ValueError:
-            raise CliError(f"invalid kernel point {args.kernel!r}; expected X,Y,Z") from None
-        if x.shape != (3,):
+            x = []
+        if len(x) != 3:
             raise CliError(f"invalid kernel point {args.kernel!r}; expected X,Y,Z")
-        kernel = transverse_delta_real_exact(k_m, x)
-        payload["x_m"] = [float(v) for v in x]
-        for a, name_a in enumerate("xyz"):
-            for b, name_b in enumerate("xyz"):
-                key = f"kernel_{name_a}{name_b}_per_m3"
-                payload[key] = float(kernel[a, b])
-                columns.append(key)
+        far, near = _kernel_terms(k_m, x)
+        payload["x_m"] = x
+        keys = [f"kernel_{a}{b}_per_m3" for a in "xyz" for b in "xyz"]  # row-major, as the terms
+        payload.update(zip(keys, (f + g for f, g in zip(far, near))))
+        columns += keys
     if len(columns) == 1:
         raise CliError("nothing to compute; give --envelope, --suppression or --kernel")
     _emit(args, payload, csv_columns=columns, csv_rows=[[payload[c] for c in columns]])

@@ -12,6 +12,7 @@ imports this one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # CODATA 2018 base values
@@ -122,6 +123,32 @@ def _require(name: str, value, kind: str, high: float = math.inf, unit: str = ""
     else:
         rule = "finite" if kind == "finite" else f"finite and {kind}"
     raise ValueError(f"{name} must be {rule}, got {x}")
+
+
+def _power(name: str, x: float, n: int) -> float:
+    """x**n for a checked x >= 0, or ValueError naming name when a nonzero x**n is not a normal float.
+
+    Past the largest float Python's ** raises OverflowError, and below the
+    smallest normal one the power rounds to a subnormal or 0, which as a
+    divisor or factor gives ZeroDivisionError, inf or a result without its
+    precision.  Formulas that multiply by x twice call it only as a check,
+    so that their rounding order stays as it was.
+    """
+    try:
+        p = x**n
+    except OverflowError:
+        p = math.inf
+    if x == 0.0 or sys.float_info.min <= p < math.inf:
+        return p
+    raise ValueError(f"{name}**{n} must be a normal float, got {name} = {x}")
+
+
+def _finite_result(what: str, value: float, **inputs: float) -> float:
+    """value, or ValueError naming the inputs when the formula overflowed to inf."""
+    if value < math.inf:
+        return value
+    given = ", ".join(f"{name} = {x}" for name, x in inputs.items())
+    raise ValueError(f"{what} overflows the float range at {given}")
 
 
 def _cutoff_value(k_m) -> float:

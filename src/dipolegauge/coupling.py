@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constants import ATOMIC_MASS_UNIT, CONSTANTS, _require, wavelength_to_omega
+from .constants import ATOMIC_MASS_UNIT, CONSTANTS, _finite_result, _power, _require, wavelength_to_omega
 
 # Tags identifying which formula produced a figure of merit
 METHOD_COUPLING = "coupling"
@@ -93,7 +93,9 @@ def coupling_g(mode: ModeSpec, d: float) -> float:
     """Single-dipole coupling constant sqrt(omega d^2/(2 hbar eps0 V)) in rad/s."""
     d = _require("d", d, "nonnegative")
     c = CONSTANTS
-    return math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
+    _power("d", d, 2)
+    g = math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
+    return _finite_result("coupling constant", g, omega=mode.omega, volume=mode.volume, d=d)
 
 
 def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> FigureOfMeritReport:
@@ -103,8 +105,10 @@ def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> F
     g = _require("g", g, "nonnegative")
     omega = _require("omega", omega, "positive")
     omega_a = _require("omega_a", omega_a, "positive")
+    _power("g", g, 2)
+    value = n_atoms * g * g / (omega * omega_a)
     return FigureOfMeritReport(
-        value=n_atoms * g * g / (omega * omega_a),
+        value=_finite_result("figure of merit", value, n_atoms=n_atoms, g=g, omega=omega, omega_a=omega_a),
         method=METHOD_COUPLING,
         n_atoms=n_atoms,
         g=g,
@@ -118,8 +122,9 @@ def fom_density_q(density: float, lambda_a: float, quality: float) -> FigureOfMe
     density = _require("density", density, "nonnegative")
     lambda_a = _require("lambda_a", lambda_a, "positive")
     quality = _require("quality", quality, "positive")
+    value = density * _power("lambda_a", lambda_a, 3) * 3.0 / (8.0 * math.pi**2) / quality
     return FigureOfMeritReport(
-        value=density * lambda_a**3 * 3.0 / (8.0 * math.pi**2) / quality,
+        value=_finite_result("figure of merit", value, density=density, lambda_a=lambda_a, quality=quality),
         method=METHOD_DENSITY_QUALITY,
         density=density,
         lambda_a=lambda_a,
@@ -147,7 +152,8 @@ def critical_density(lambda_a: float, quality: float) -> float:
     """Density 8 pi^2 Q/(3 lambda_A^3) at which the figure of merit reaches 1."""
     lambda_a = _require("lambda_a", lambda_a, "positive")
     quality = _require("quality", quality, "positive")
-    return 8.0 * math.pi**2 * quality / (3.0 * lambda_a**3)
+    density = 8.0 * math.pi**2 * quality / (3.0 * _power("lambda_a", lambda_a, 3))
+    return _finite_result("critical density", density, lambda_a=lambda_a, quality=quality)
 
 
 def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
@@ -159,7 +165,8 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
     omega_a = _require("omega_a", omega_a, "positive")
     gamma_hwhm = _require("gamma_hwhm", gamma_hwhm, "positive")
     c = CONSTANTS
-    return math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / omega_a**3)
+    d = math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / _power("omega_a", omega_a, 3))
+    return _finite_result("dipole moment", d, omega_a=omega_a, gamma_hwhm=gamma_hwhm)
 
 
 def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
@@ -168,7 +175,10 @@ def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
 
 
 def species_critical_density(species: AtomSpecies) -> float:
-    return critical_density(species.lambda_a, species.quality)
+    try:
+        return critical_density(species.lambda_a, species.quality)
+    except ValueError as exc:
+        raise ValueError(f"{species.name}: {exc}") from None
 
 
 def crystalline_comparison(species: AtomSpecies) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadpack import qagi
-from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _require
+from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _finite_result, _power, _require
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -55,7 +55,9 @@ def transverse_self_energy(d: float, k_m) -> float:
     """
     mu = _cutoff_value(k_m)
     d = _require("d", d, "nonnegative")
-    return mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
+    _power("d", d, 2)
+    energy = mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
+    return _finite_result("transverse self-energy", energy, d=d, k_m=mu)
 
 
 def hydrogen_first_order_shift(k_m) -> float:

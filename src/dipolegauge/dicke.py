@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import _require
+from .constants import _finite_result, _power, _require
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -467,7 +467,8 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     omega_a = _require("omega_a", omega_a, "positive")
     if fom <= 1.0:
         return 0.0
-    return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
+    fraction = fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / _power("fom", fom, 2))
+    return _finite_result("mean-field photon fraction", fraction, fom=fom, omega=omega, omega_a=omega_a)
 
 
 def _converged_ground(p: DickeParams) -> GroundStateReport:

@@ -14,23 +14,30 @@ first term is the static dipole-field shape switched on over distances
 ~1/kM; the second carries the 1/r trace singularity and decays
 exponentially.  Contracted with a dipole moment these give the transverse,
 longitudinal and residual polarization fields of a point dipole.
+
+The real-space kernel at one point is the standard-library closed form
+_kernel_terms; numpy is imported only inside the functions that build
+arrays, so importing this module, the envelope and the filter value load
+no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._igamma import gammainc3
 from .constants import _cutoff_value, _require
 
-FT_PREFACTOR = (2.0 * math.pi) ** -1.5  # symmetric Fourier convention
+if TYPE_CHECKING:
+    import numpy as np
 
-_IDENTITY3 = np.eye(3)
+FT_PREFACTOR = (2.0 * math.pi) ** -1.5  # symmetric Fourier convention
 
 
 def _vector(x) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
@@ -71,6 +78,8 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     direction-dependent at k = 0, so a zero wavevector is rejected rather
     than assigned a limit value.
     """
+    import numpy as np
+
     mu = _cutoff_value(k_m)
     k = _vector(k_vec)
     # The zero test and the projector take k scaled by the power of two of
@@ -80,7 +89,7 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     ks2 = float(ks @ ks)
     if ks2 == 0.0:
         raise ValueError("transverse projector is undefined at k = 0")
-    projector = _IDENTITY3 - np.outer(ks, ks) / ks2
+    projector = np.eye(3) - np.outer(ks, ks) / ks2
     with np.errstate(over="ignore"):
         k2 = float(k @ k)  # inf past the overflow gives the filter its limit 0
     return FT_PREFACTOR * mu * mu / (k2 + mu * mu) * projector
@@ -106,28 +115,51 @@ MIN_SEPARATION = 1e-100
 
 def _geometry(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm r and unit vector n of each (M, 3) separation; rejects r below MIN_SEPARATION."""
+    import numpy as np
+
     r = np.sqrt(_dot3(rel, rel))
     short = ~(r >= MIN_SEPARATION)  # NaN included
     if short.any():
-        raise ValueError(
-            f"kernel and dipole fields need separations of at least {MIN_SEPARATION:g} m, got {float(r[short][0])!r} m"
-        )
+        _refuse_separation(float(r[short][0]))
     return r, rel / r[:, None]
 
 
-def _kernel_pieces(mu: float, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms of the exact kernel at (M, 3) separations, each (M, 3, 3).
+def _refuse_separation(r: float):
+    raise ValueError(f"kernel and dipole fields need separations of at least {MIN_SEPARATION:g} m, got {r!r} m")
+
+
+def _kernel_terms(mu: float, x) -> tuple[list[float], list[float]]:
+    """The two terms of the exact kernel at one separation x, each as 9 floats in row-major order.
 
     Returns (far, near) with far = P(3, kM r) (3 n n - id)/(4 pi r^3) and
-    near = kM^2 exp(-kM r) (id + n n)/(8 pi r).  The envelope multiplies
-    before the division, the rounding order the CLI golden output records.
+    near = kM^2 exp(-kM r) (id + n n)/(8 pi r), in standard-library floats:
+    r = sqrt(x.x) summed left to right, r^3 and exp from libm, the envelope
+    from _igamma.  The envelope multiplies before the division, the
+    rounding order the CLI golden output records.  Refuses non-finite
+    components and r below MIN_SEPARATION (NaN included).
     """
-    r, n = _geometry(rel)
+    x0, x1, x2 = (float(v) for v in x)
+    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("vector components must be finite")
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)  # inf once x.x overflows
+    if not r >= MIN_SEPARATION:
+        _refuse_separation(r)
+    try:
+        r3 = r**3
+    except OverflowError:  # r above about 5.6e102 m, where the far term is below the subnormals
+        r3 = math.inf
+    n = (x0 / r, x1 / r, x2 / r)
     s = mu * r
-    nn = n[:, :, None] * n[:, None, :]
-    envelope = np.array([gammainc3(x) for x in s.tolist()])
-    far = envelope[:, None, None] * (3.0 * nn - _IDENTITY3) / (4.0 * math.pi * r**3)[:, None, None]
-    near = (mu * mu * np.exp(-s) / (8.0 * math.pi * r))[:, None, None] * (_IDENTITY3 + nn)
+    envelope = gammainc3(s)
+    far_denominator = 4.0 * math.pi * r3
+    near_scale = mu * mu * math.exp(-s) / (8.0 * math.pi * r)
+    far, near = [], []
+    for a in range(3):
+        for b in range(3):
+            delta = 1.0 if a == b else 0.0
+            nn = n[a] * n[b]
+            far.append(envelope * (3.0 * nn - delta) / far_denominator)
+            near.append(near_scale * (delta + nn))
     return far, near
 
 
@@ -137,9 +169,16 @@ def transverse_delta_real_exact(k_m, x) -> np.ndarray:
     Sum of the envelope-weighted dipole-field tensor and the exponentially
     decaying correction carrying the 1/r singularity; the trace reduces to
     the Yukawa form 2 kM^2 exp(-kM r)/(4 pi r).
+
+    Rounding bound: every entry is within 10 eps of the largest entry of
+    the exact kernel at the float x and kM, for kM from 1e-20 to 1e90 /m
+    and kM r up to 745.  r carries about 1.5 ulp, and the terms scale with
+    up to r^-3.
     """
-    far, near = _kernel_pieces(_cutoff_value(k_m), _vector(x)[None, :])
-    return (far + near)[0]
+    import numpy as np
+
+    far, near = _kernel_terms(_cutoff_value(k_m), _vector(x).tolist())
+    return np.reshape([f + g for f, g in zip(far, near)], (3, 3))
 
 
 def transverse_delta_real_far(k_m, x) -> np.ndarray:
@@ -147,9 +186,17 @@ def transverse_delta_real_far(k_m, x) -> np.ndarray:
 
     Valid for kM r >> 1, where it differs from the exact kernel only by
     terms suppressed by exp(-kM r).
+
+    Rounding bound: every entry is within (10 + 6 |ln(kM r)|) eps of the
+    largest entry of the exact far form at the float x and kM, for kM from
+    1e-20 to 1e90 /m and kM r from 1e-100 to 745.  The log term is the
+    envelope's: below kM r = 1.8 it is exp(3 ln(kM r) - kM r - ln 2),
+    which carries the rounding of that argument.
     """
-    far, _ = _kernel_pieces(_cutoff_value(k_m), _vector(x)[None, :])
-    return far[0]
+    import numpy as np
+
+    far, _ = _kernel_terms(_cutoff_value(k_m), _vector(x).tolist())
+    return np.reshape(far, (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +233,8 @@ def _envelope_complement(s: np.ndarray) -> np.ndarray:
     term while exp(-s) is a normal float, the absolute one once it is
     subnormal or 0 (s above about 708).
     """
+    import numpy as np
+
     return np.exp(-s) * (1.0 + s + s * s / 2.0)
 
 
@@ -204,6 +253,8 @@ def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndar
     which avoids subtractive cancellation at kM r >> 1; the complement
     comes from _envelope_complement.
     """
+    import numpy as np
+
     mu = _cutoff_value(k_m)
     dv = _vector(d)
     r, n = _geometry(np.asarray(points, dtype=float) - _vector(x_a))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -131,6 +132,15 @@ class TestCriticalDensity:
         (row,) = json.loads(out)["species"]
         assert row["critical_to_crystalline"] == pytest.approx(0.64, rel=0.10)
 
+    def test_wavelength_cubed_below_float_range_exits_2(self, capsys, tmp_path):
+        # (1e-115 nm)^3 underflows to 0, the divisor of the critical density
+        registry = tmp_path / "species.csv"
+        registry.write_text("name,mass_amu,lambda_nm,gamma_fwhm_MHz,crystalline_density_per_m3\nX,1.0,1e-115,1.0,\n")
+        code, out, err = run_cli(capsys, ["critical-density", "--registry", str(registry)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["dipolegauge: invalid input: X: lambda_a**3 must be a normal float, got lambda_a = 1.0000000000000001e-124"]
+
 
 class TestDickeScan:
     def test_scan_monotone_fraction(self, capsys):
@@ -220,7 +230,7 @@ class TestPolarization:
 
     def test_non_finite_result_is_not_emitted(self, capsys, monkeypatch):
         # no accepted input gives a non-finite kernel any more, so one is planted: it is not valid JSON
-        monkeypatch.setattr(polarization, "transverse_delta_real_exact", lambda k_m, x: np.full((3, 3), np.nan))
+        monkeypatch.setattr(polarization, "_kernel_terms", lambda k_m, x: ([math.nan] * 9, [0.0] * 9))
         code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--kernel", "1e-10,0,0"])
         assert code == 2
         assert out == ""

@@ -27,14 +27,16 @@ SCIPY = HEAVY[1:]
 
 # Modules each entry point must leave out of sys.modules.  Only the Dicke
 # coupling's ARPACK solve needs scipy: cutoff-window's quadrature cross-check
-# is a standard-library QUADPACK port, the polarization envelope a
-# standard-library port of Cephes' incomplete gamma, ensemble-check's spacing
-# checks run on a numpy cell list and --rwa scans on numpy's dense solver.
+# is a standard-library QUADPACK port, ensemble-check's spacing checks run on
+# a numpy cell list and --rwa scans on numpy's dense solver.  polarization
+# needs no numpy either: the kernel at one point is a standard-library closed
+# form, its envelope a standard-library port of Cephes' incomplete gamma.
 NOT_LOADED = {
     "import dipolegauge": HEAVY,
     "import dipolegauge.dicke": SCIPY,
+    "import dipolegauge.polarization": HEAVY,
     "critical-density": HEAVY,
-    "polarization": SCIPY,
+    "polarization": HEAVY,
     "dicke-scan": ("scipy.integrate", "scipy.special", "scipy.spatial", *POOL),
     "dicke-scan --rwa": (*SCIPY, *POOL),
     "ensemble-check": SCIPY,
@@ -42,7 +44,6 @@ NOT_LOADED = {
 }
 LOADED = {
     "import dipolegauge.dicke": ("numpy",),
-    "polarization": ("numpy",),
     "dicke-scan": ("numpy", "scipy.sparse"),
     "dicke-scan --rwa": ("numpy",),
     "ensemble-check": ("numpy",),

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dipolegauge.constants import MAX_CUTOFF_WAVENUMBER
 from dipolegauge.polarization import (
     FT_PREFACTOR,
     MIN_SEPARATION,
-    _kernel_pieces,
     longitudinal_dipole_polarization,
     radial_envelope,
     suppression_factor,
@@ -176,20 +175,57 @@ class TestRealSpaceKernel:
             transverse_delta_real_exact(MU, np.zeros(3))
 
 
+class TestKernelRoundingBound:
+    """The single-point kernels within the rounding bounds their docstrings state, against mpmath at 50 digits.
+
+    Each bound is relative to the largest entry of the exact tensor at the
+    float inputs: 10 eps for the exact kernel, (10 + 6 |ln(kM r)|) eps for
+    the far form, whose envelope carries the rounding of 3 ln(kM r) below
+    kM r = 1.8.
+    """
+
+    @pytest.fixture(scope="class")
+    def mpmath(self):
+        return pytest.importorskip("mpmath")
+
+    @staticmethod
+    def exact_terms(mpmath, mu, x):
+        """The far and near terms at the float mu and x, as 3x3 lists of mpf."""
+        xs = [mpmath.mpf(v) for v in x]
+        r = mpmath.sqrt(sum(v * v for v in xs))
+        n = [v / r for v in xs]
+        s = mpmath.mpf(mu) * r
+        envelope = mpmath.gammainc(3, 0, s, regularized=True)
+        far_scale = envelope / (4 * mpmath.pi * r**3)
+        near_scale = mpmath.mpf(mu) ** 2 * mpmath.exp(-s) / (8 * mpmath.pi * r)
+        far = [[far_scale * (3 * n[a] * n[b] - (a == b)) for b in range(3)] for a in range(3)]
+        near = [[near_scale * ((a == b) + n[a] * n[b]) for b in range(3)] for a in range(3)]
+        return far, near
+
+    @staticmethod
+    def error_over_scale(mpmath, got, exact):
+        scale = max(abs(value) for row in exact for value in row)
+        error = max(abs(mpmath.mpf(float(got[a, b])) - exact[a][b]) for a in range(3) for b in range(3))
+        return error / scale
+
+    # kM from 1e-20 to 1e90 /m and kM r from 1e-100 to 745, the ranges the docstrings state
+    @given(vectors, st.floats(min_value=-20.0, max_value=90.0), st.floats(min_value=-100.0, max_value=math.log10(745.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_and_far_within_stated_bounds(self, mpmath, direction, log_mu, log_s):
+        mu, s = 10.0**log_mu, 10.0**log_s
+        x = direction / np.linalg.norm(direction) * (s / mu)
+        assume(np.linalg.norm(x) >= MIN_SEPARATION)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            far, near = self.exact_terms(mpmath, mu, x)
+            exact = [[f + g for f, g in zip(far_row, near_row)] for far_row, near_row in zip(far, near)]
+            assert self.error_over_scale(mpmath, transverse_delta_real_exact(mu, x), exact) <= 10.0 * eps
+            far_bound = (10.0 + 6.0 * abs(math.log(s))) * eps
+            assert self.error_over_scale(mpmath, transverse_delta_real_far(mu, x), far) <= far_bound
+
+
 class TestSinglePointWrappers:
     """Each single-point function returns its row of the batched evaluation, bit for bit."""
-
-    @given(
-        st.lists(st.tuples(vectors, st.floats(min_value=0.01, max_value=40.0)), min_size=1, max_size=9),
-        st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=40)
-    def test_kernels(self, samples, row):
-        row %= len(samples)
-        points = np.array([at_distance(direction, s) for direction, s in samples])
-        far, near = _kernel_pieces(MU, points)
-        assert np.array_equal(transverse_delta_real_far(MU, points[row]), far[row])
-        assert np.array_equal(transverse_delta_real_exact(MU, points[row]), far[row] + near[row])
 
     @given(
         vectors,

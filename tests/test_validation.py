@@ -3,7 +3,8 @@
 The cases are generated from one table of valid base arguments: each float
 parameter in turn takes NaN, +inf, -inf and the out-of-range values of its
 rule, and the call must raise a ValueError whose message names the
-parameter.  A second test keeps the table complete: every public callable
+parameter.  Finite arguments whose powers or results leave the float
+range are refused by name the same way.  A second test keeps the table complete: every public callable
 with a float parameter (everything in dipolegauge.__all__ plus
 constants.wavelength_to_omega and ensemble.overlap_envelope_bound) must be
 listed, result records aside.
@@ -212,6 +213,38 @@ def test_out_of_range_float_refused_by_name(case, parameter, bad):
     fn, base, _ = CASES[case]
     with pytest.raises(ValueError, match=re.escape(LABELS.get(parameter, parameter))):
         fn(**{**base, parameter: bad})
+
+
+# Finite arguments whose powers, or whose results, leave the float range:
+# (case, arguments replaced in its base, parameter the message must name).
+FLOAT_RANGE = [
+    ("critical_density", {"lambda_a": 1e-120}, "lambda_a"),
+    ("critical_density", {"lambda_a": 1e200}, "lambda_a"),
+    ("critical_density", {"lambda_a": 1e-100, "quality": 1e10}, "quality"),
+    ("fom_density_q", {"lambda_a": 1e-120}, "lambda_a"),
+    ("fom_density_q", {"lambda_a": 1e200}, "lambda_a"),
+    ("dipole_from_linewidth", {"omega_a": 1e-200}, "omega_a"),
+    ("dipole_from_linewidth", {"omega_a": 1e200}, "omega_a"),
+    ("dipole_from_linewidth", {"omega_a": 1e-100, "gamma_hwhm": 1e300}, "gamma_hwhm"),
+    ("transverse_self_energy", {"d": 1e200}, "d"),
+    ("transverse_self_energy", {"d": 1e-200}, "d"),
+    ("transverse_self_energy", {"d": 1e150}, "d"),
+    ("coupling_g", {"d": 1e200}, "d"),
+    ("coupling_g", {"d": 1e-200}, "d"),
+    ("coupling_g", {"mode": ModeSpec(1e300, 1e-250)}, "volume"),
+    ("figure_of_merit", {"g": 1e200}, "g"),
+    ("meanfield_order_parameter", {"fom": 1e200}, "fom"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, overrides, parameter",
+    [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in FLOAT_RANGE],
+)
+def test_out_of_float_range_refused_by_name(case, overrides, parameter):
+    fn, base, _ = CASES[case]
+    with pytest.raises(ValueError, match=rf"\b{parameter}\b"):
+        fn(**{**base, **overrides})
 
 
 @pytest.mark.parametrize("case", CASES)
