@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__
-from .constants import BOHR_RADIUS, CONSTANTS, _cutoff_value, wavelength_to_omega
+from .constants import BOHR_RADIUS, CONSTANTS, _require, wavelength_to_omega
 from .coupling import (
     AtomSpecies,
     crystalline_comparison,
@@ -97,7 +97,7 @@ def _cutoff_from_args(args) -> float:
         value = args.kM_inv_bohr / BOHR_RADIUS
     else:
         raise CliError("a cutoff wavenumber is required (--kM or --kM-inv-bohr)")
-    return _cutoff_value(value)
+    return _require("cutoff wavenumber", value, "wavenumber")
 
 
 def _finite_float(text: str) -> float:

@@ -1,12 +1,41 @@
-"""Physical constants (CODATA 2018, SI), conversions and input range checks.
+"""Physical constants (CODATA 2018, SI), conversions and input domains.
 
 Everything downstream works in SI; atomic-unit scales are derived
 fields of the constant set.  Values are hardcoded rather than pulled from
 scipy.constants so results do not shift with the CODATA revision shipped
-by the installed scipy.  The range check every public numeric parameter
-goes through (_require), the cutoff wavenumber limit and QuadratureError
-live here too: they need only the standard library, and every module
-imports this one.
+by the installed scipy.  The table of input domains, the check every
+public numeric parameter goes through (_require) and QuadratureError live
+here too: they need only the standard library, and every module imports
+this one.
+
+DOMAINS holds one row per quantity.  Inside the rows no intermediate of
+any formula overflows or leaves the normal floats, apart from a factor
+exp(-kM r) that carries the result itself below them.  With x = kM r,
+each row's limits keep these normal:
+
+    wavenumber           1e-20 .. 1e90 /m        kM^3 (up to 1e270), kM^3 d^2/eps0; the
+                                                 kernel's rounding bounds hold from 1e-20
+    mode wavenumber      the same, or 0          k^2 + kM^2
+    length               1e-30 .. 1e10 m         r^3, lambda^3; x from 1e-50 to 1e100, so
+                                                 8 pi x^3 eps0 and x^3 d_A d_B
+    radius               the same, or 0          P(3, kM r)
+    volume               1e-90 .. 1e30 m^3       2 hbar eps0 V
+    frequency            1e-30 .. 1e50 rad/s     omega_A^3, omega omega_A; holds 2 pi c/lambda
+    coupling             1e-55 .. 1e75 rad/s,    N g^2/(omega omega_A) up to 1e290; holds
+                         or 0                    sqrt(F omega omega_A)
+    dipole moment        1e-100 .. 1 C*m, or 0   d_A d_B kM^3 from 1e-260, omega d^2,
+                                                 x^3 d_A d_B up to 1e300
+    density              1e-30 .. 1e60 /m^3,     n lambda^3/Q
+                         or 0
+    crystalline density  the same                the critical density divided by it
+    mass                 1e-40 .. 1e10 kg        (no formula uses it)
+    quality              1e-60 .. 1e80           8 pi^2 Q/(3 lambda^3); holds omega_A/gamma
+    tolerance            1e-12 .. 1              above the overlap's rounding bound
+                                                 (16 + 745) eps and QUADPACK's 50 eps
+    threshold            1e-30 .. 1e30           (only compared)
+    figure of merit      1e-40 .. 1e40, or 0     F^2, F omega omega_A
+    atom number          1 .. 1e80               N g^2
+    energy               any finite value        (reported as given)
 """
 
 from __future__ import annotations
@@ -81,11 +110,11 @@ def hydrogen_wavenumber() -> float:
 
 def wavelength_to_omega(lam: float) -> float:
     """Vacuum wavelength (m) -> angular frequency (rad/s)."""
-    return 2.0 * math.pi * SPEED_OF_LIGHT / _require("lam", lam, "positive")
+    return 2.0 * math.pi * SPEED_OF_LIGHT / _require("lam", lam, "length")
 
 
 # ---------------------------------------------------------------------------
-# Range checks and quadrature failure, shared by every module
+# Input domains and quadrature failure, shared by every module
 # ---------------------------------------------------------------------------
 
 
@@ -97,60 +126,43 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-# Largest cutoff wavenumber accepted (1/m).  Energies and densities carry
-# kM^3, which leaves the floats above about 5.6e102 /m, and kM^3/eps0, above
-# about 3e99 /m; the limit keeps a wide margin for the factors beside them.
-MAX_CUTOFF_WAVENUMBER = 1e90
+# quantity: (smallest nonzero value, largest value, unit, whether 0 is allowed);
+# a row whose lower limit is negative takes either sign.  The module docstring
+# names what each row's limits keep normal.
+DOMAINS = {
+    "wavenumber": (1e-20, 1e90, " /m", False),
+    "mode wavenumber": (1e-20, 1e90, " /m", True),
+    "length": (1e-30, 1e10, " m", False),
+    "radius": (1e-30, 1e10, " m", True),
+    "volume": (1e-90, 1e30, " m^3", False),
+    "frequency": (1e-30, 1e50, " rad/s", False),
+    "coupling": (1e-55, 1e75, " rad/s", True),
+    "dipole moment": (1e-100, 1.0, " C*m", True),
+    "density": (1e-30, 1e60, " /m^3", True),
+    "crystalline density": (1e-30, 1e60, " /m^3", False),
+    "mass": (1e-40, 1e10, " kg", False),
+    "quality": (1e-60, 1e80, "", False),
+    "tolerance": (1e-12, 1.0, "", False),
+    "threshold": (1e-30, 1e30, "", False),
+    "figure of merit": (1e-40, 1e40, "", True),
+    "atom number": (1.0, 1e80, "", False),
+    "energy": (-sys.float_info.max, sys.float_info.max, " rad/s", True),
+}
 
 
-def _require(name: str, value, kind: str, high: float = math.inf, unit: str = "") -> float:
-    """float(value), or ValueError naming name unless it is finite, of kind and at most high.
+def _require(name: str, value, quantity: str) -> float:
+    """float(value), or ValueError naming name unless it lies in the domain DOMAINS[quantity].
 
-    kind is "positive" (above zero), "nonnegative" (at least zero) or
-    "finite" (either sign); unit follows high in the message.  Every
-    comparison is False for NaN, so NaN is refused with the rest, and so is
-    a value float() cannot convert, such as None.
+    Every comparison is False for NaN, so NaN is refused with the
+    infinities, and so is a value float() cannot convert, such as None.
     """
+    low, high, unit, zero = DOMAINS[quantity]
     try:
         x = float(value)
+    except OverflowError:  # an int beyond the floats
+        x = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-    above_low = x > 0.0 if kind == "positive" else x >= 0.0 if kind == "nonnegative" else x > -math.inf
-    if above_low and x <= high and x < math.inf:
+    if low <= x <= high or (zero and x == 0.0):
         return x
-    if high < math.inf:
-        rule = f"{kind} and at most {high:g}{unit}"
-    else:
-        rule = "finite" if kind == "finite" else f"finite and {kind}"
-    raise ValueError(f"{name} must be {rule}, got {x}")
-
-
-def _power(name: str, x: float, n: int) -> float:
-    """x**n for a checked x >= 0, or ValueError naming name when a nonzero x**n is not a normal float.
-
-    Past the largest float Python's ** raises OverflowError, and below the
-    smallest normal one the power rounds to a subnormal or 0, which as a
-    divisor or factor gives ZeroDivisionError, inf or a result without its
-    precision.  Formulas that multiply by x twice call it only as a check,
-    so that their rounding order stays as it was.
-    """
-    try:
-        p = x**n
-    except OverflowError:
-        p = math.inf
-    if x == 0.0 or sys.float_info.min <= p < math.inf:
-        return p
-    raise ValueError(f"{name}**{n} must be a normal float, got {name} = {x}")
-
-
-def _finite_result(what: str, value: float, **inputs: float) -> float:
-    """value, or ValueError naming the inputs when the formula overflowed to inf."""
-    if value < math.inf:
-        return value
-    given = ", ".join(f"{name} = {x}" for name, x in inputs.items())
-    raise ValueError(f"{what} overflows the float range at {given}")
-
-
-def _cutoff_value(k_m) -> float:
-    """The cutoff wavenumber in 1/m, refused outside (0, MAX_CUTOFF_WAVENUMBER]."""
-    return _require("cutoff wavenumber", k_m, "positive", MAX_CUTOFF_WAVENUMBER, " /m")
+    raise ValueError(f"{name} must be {'0 or ' if zero else ''}from {low:g} to {high:g}{unit}, got {x}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constants import ATOMIC_MASS_UNIT, CONSTANTS, _finite_result, _power, _require, wavelength_to_omega
+from .constants import ATOMIC_MASS_UNIT, CONSTANTS, _require, wavelength_to_omega
 
 # Tags identifying which formula produced a figure of merit
 METHOD_COUPLING = "coupling"
@@ -43,10 +43,15 @@ class AtomSpecies:
     crystalline_density: float | None = None  # number density of the solid (1/m^3)
 
     def __post_init__(self):
-        for field in ("lambda_a", "gamma_hwhm", "mass", "crystalline_density"):
+        for field, quantity in (
+            ("lambda_a", "length"),
+            ("gamma_hwhm", "frequency"),
+            ("mass", "mass"),
+            ("crystalline_density", "crystalline density"),
+        ):
             value = getattr(self, field)
             if value is not None:
-                _require(f"{self.name}: {field}", value, "positive")
+                _require(f"{self.name}: {field}", value, quantity)
 
     @property
     def omega_a(self) -> float:
@@ -66,8 +71,8 @@ class ModeSpec:
     volume: float
 
     def __post_init__(self):
-        _require("omega", self.omega, "positive")
-        _require("volume", self.volume, "positive")
+        _require("omega", self.omega, "frequency")
+        _require("volume", self.volume, "volume")
 
 
 @dataclass(frozen=True)
@@ -91,24 +96,19 @@ class FigureOfMeritReport:
 
 def coupling_g(mode: ModeSpec, d: float) -> float:
     """Single-dipole coupling constant sqrt(omega d^2/(2 hbar eps0 V)) in rad/s."""
-    d = _require("d", d, "nonnegative")
+    d = _require("d", d, "dipole moment")
     c = CONSTANTS
-    _power("d", d, 2)
-    g = math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
-    return _finite_result("coupling constant", g, omega=mode.omega, volume=mode.volume, d=d)
+    return math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
 
 
 def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> FigureOfMeritReport:
     """N g^2/(omega omega_A) from an explicit coupling constant."""
-    if not 1.0 <= n_atoms < math.inf:  # NaN included
-        raise ValueError(f"n_atoms must be finite and at least 1, got {n_atoms}")
-    g = _require("g", g, "nonnegative")
-    omega = _require("omega", omega, "positive")
-    omega_a = _require("omega_a", omega_a, "positive")
-    _power("g", g, 2)
-    value = n_atoms * g * g / (omega * omega_a)
+    n_atoms = _require("n_atoms", n_atoms, "atom number")
+    g = _require("g", g, "coupling")
+    omega = _require("omega", omega, "frequency")
+    omega_a = _require("omega_a", omega_a, "frequency")
     return FigureOfMeritReport(
-        value=_finite_result("figure of merit", value, n_atoms=n_atoms, g=g, omega=omega, omega_a=omega_a),
+        value=n_atoms * g * g / (omega * omega_a),
         method=METHOD_COUPLING,
         n_atoms=n_atoms,
         g=g,
@@ -119,12 +119,11 @@ def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> F
 
 def fom_density_q(density: float, lambda_a: float, quality: float) -> FigureOfMeritReport:
     """Figure of merit (N/V) lambda_A^3 (3/8 pi^2) / Q from a number density."""
-    density = _require("density", density, "nonnegative")
-    lambda_a = _require("lambda_a", lambda_a, "positive")
-    quality = _require("quality", quality, "positive")
-    value = density * _power("lambda_a", lambda_a, 3) * 3.0 / (8.0 * math.pi**2) / quality
+    density = _require("density", density, "density")
+    lambda_a = _require("lambda_a", lambda_a, "length")
+    quality = _require("quality", quality, "quality")
     return FigureOfMeritReport(
-        value=_finite_result("figure of merit", value, density=density, lambda_a=lambda_a, quality=quality),
+        value=density * lambda_a**3 * 3.0 / (8.0 * math.pi**2) / quality,
         method=METHOD_DENSITY_QUALITY,
         density=density,
         lambda_a=lambda_a,
@@ -140,7 +139,7 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
     3 e^2 a0^2 (the ground-state expectation of d^2); with those inputs
     the density-quality form reduces to this one exactly.
     """
-    density = _require("density", density, "nonnegative")
+    density = _require("density", density, "density")
     return FigureOfMeritReport(
         value=density * 16.0 * math.pi * CONSTANTS.a0**3,
         method=METHOD_DENSITY_HYDROGENLIKE,
@@ -150,10 +149,9 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
 
 def critical_density(lambda_a: float, quality: float) -> float:
     """Density 8 pi^2 Q/(3 lambda_A^3) at which the figure of merit reaches 1."""
-    lambda_a = _require("lambda_a", lambda_a, "positive")
-    quality = _require("quality", quality, "positive")
-    density = 8.0 * math.pi**2 * quality / (3.0 * _power("lambda_a", lambda_a, 3))
-    return _finite_result("critical density", density, lambda_a=lambda_a, quality=quality)
+    lambda_a = _require("lambda_a", lambda_a, "length")
+    quality = _require("quality", quality, "quality")
+    return 8.0 * math.pi**2 * quality / (3.0 * lambda_a**3)
 
 
 def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
@@ -162,16 +160,15 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
     Inverts gamma = omega_A^3 d^2/(6 pi eps0 hbar c^3) with gamma the
     angular half width at half maximum (half the decay rate).
     """
-    omega_a = _require("omega_a", omega_a, "positive")
-    gamma_hwhm = _require("gamma_hwhm", gamma_hwhm, "positive")
+    omega_a = _require("omega_a", omega_a, "frequency")
+    gamma_hwhm = _require("gamma_hwhm", gamma_hwhm, "frequency")
     c = CONSTANTS
-    d = math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / _power("omega_a", omega_a, 3))
-    return _finite_result("dipole moment", d, omega_a=omega_a, gamma_hwhm=gamma_hwhm)
+    return math.sqrt(6.0 * math.pi * c.eps0 * c.hbar * c.c**3 * gamma_hwhm / omega_a**3)
 
 
 def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
     """Resonance quality factor omega_A / gamma_hwhm."""
-    return _require("omega_a", omega_a, "positive") / _require("gamma_hwhm", gamma_hwhm, "positive")
+    return _require("omega_a", omega_a, "frequency") / _require("gamma_hwhm", gamma_hwhm, "frequency")
 
 
 def species_critical_density(species: AtomSpecies) -> float:
@@ -224,13 +221,16 @@ def _species_from_row(row: dict, where: str) -> AtomSpecies:
     name = (row.get("name") or "").strip()
     if not name:
         raise RegistryError(f"{where}: missing species name")
-    return AtomSpecies(
-        name=name,
+    fields = dict(
         lambda_a=required("lambda_nm") * 1e-9,
         gamma_hwhm=math.pi * required("gamma_fwhm_MHz") * 1e6,
         mass=required("mass_amu") * ATOMIC_MASS_UNIT,
         crystalline_density=number("crystalline_density_per_m3"),
     )
+    try:
+        return AtomSpecies(name=name, **fields)
+    except ValueError as exc:  # a value outside its domain
+        raise RegistryError(f"{where}: {exc}") from None
 
 
 def _csv_records(text: str, source: str):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._quadpack import qagi
-from .constants import CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError, _cutoff_value, _finite_result, _power, _require
+from .constants import CONSTANTS, QuadratureError, _require
 
 DEFAULT_LOWER_THRESHOLD = 0.01  # on 1 - suppression_factor(k_radiation)
 DEFAULT_UPPER_THRESHOLD = 0.15  # on the shift-to-Rydberg ratio
@@ -53,11 +53,9 @@ def transverse_self_energy(d: float, k_m) -> float:
     (1/2 eps0) int d^3k |P_transverse|^2 (angular factor 8 pi/3, radial
     int k^2 L^2 dk = pi kM^3/4).
     """
-    mu = _cutoff_value(k_m)
-    d = _require("d", d, "nonnegative")
-    _power("d", d, 2)
-    energy = mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
-    return _finite_result("transverse self-energy", energy, d=d, k_m=mu)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    d = _require("d", d, "dipole moment")
+    return mu**3 * d * d / (24.0 * math.pi * CONSTANTS.eps0)
 
 
 def hydrogen_first_order_shift(k_m) -> float:
@@ -66,14 +64,14 @@ def hydrogen_first_order_shift(k_m) -> float:
     The perturbing potential is (e^2 kM^3 / (24 pi eps0)) r^2, whose 1s
     expectation uses <r^2> = 3 a0^2.
     """
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     c = CONSTANTS
     return c.e_charge**2 * mu**3 * c.a0**2 / (8.0 * math.pi * c.eps0)
 
 
 def _hydrogen_shift_quad(k_m, tol: float) -> tuple[float, float]:
-    mu = _cutoff_value(k_m)
-    tol = _require("tol", tol, "positive")
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    tol = _require("tol", tol, "tolerance")
     c = CONSTANTS
     a0 = c.a0
     # radial integral in units of a0: int r^4 exp(-2 r/a0) dr = a0^5 int u^4 exp(-2u) du
@@ -101,13 +99,13 @@ def hydrogen_shift_numeric(k_m, tol: float = 1e-9) -> float:
 
 def rydberg_shift_ratio(k_m) -> float:
     """Shift-to-binding-energy ratio (kM * a0)^3."""
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     return (mu * CONSTANTS.a0) ** 3
 
 
 def intimacy_radius(k_m) -> float:
     """Radius 1/kM of the region where the independent-dipole picture fails."""
-    return 1.0 / _cutoff_value(k_m)
+    return 1.0 / _require("cutoff wavenumber", k_m, "wavenumber")
 
 
 def cutoff_window(
@@ -117,11 +115,10 @@ def cutoff_window(
     upper_threshold: float = DEFAULT_UPPER_THRESHOLD,
 ) -> CutoffWindow:
     """Evaluate both window metrics and the combined admissibility verdict."""
-    mu = _cutoff_value(k_m)
-    # the cutoff's limit also keeps k_radiation^2 finite (it overflows above about 1.3e154 /m)
-    k_radiation = _require("radiation wavenumber", k_radiation, "positive", MAX_CUTOFF_WAVENUMBER, " /m")
-    lower_threshold = _require("lower_threshold", lower_threshold, "positive")
-    upper_threshold = _require("upper_threshold", upper_threshold, "positive")
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    k_radiation = _require("radiation wavenumber", k_radiation, "wavenumber")
+    lower_threshold = _require("lower_threshold", lower_threshold, "threshold")
+    upper_threshold = _require("upper_threshold", upper_threshold, "threshold")
     # complement of the filter value, written to stay exact for k << kM
     lower_violation = k_radiation**2 / (k_radiation**2 + mu * mu)
     upper_ratio = rydberg_shift_ratio(mu)

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import _finite_result, _power, _require
+from .constants import _require
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -109,9 +109,9 @@ class DickeParams:
 
     def __post_init__(self):
         _require_count("atom count", self.n_atoms)
-        _require("omega", self.omega, "positive")
-        _require("omega_a", self.omega_a, "positive")
-        _require("g_collective", self.g_collective, "nonnegative")
+        _require("omega", self.omega, "frequency")
+        _require("omega_a", self.omega_a, "frequency")
+        _require("g_collective", self.g_collective, "coupling")
         _require_count("Fock truncation", self.n_max)
 
     @classmethod
@@ -125,9 +125,9 @@ class DickeParams:
         n_max: int = FOCK_SCHEDULE_START,
     ) -> "DickeParams":
         """Parametrize by the figure of merit: g = sqrt(F omega omega_A)."""
-        fom = _require("fom", fom, "nonnegative")
-        omega = _require("omega", omega, "positive")
-        omega_a = _require("omega_a", omega_a, "positive")
+        fom = _require("fom", fom, "figure of merit")
+        omega = _require("omega", omega, "frequency")
+        omega_a = _require("omega_a", omega_a, "frequency")
         return cls(
             n_atoms=n_atoms,
             omega=omega,
@@ -173,18 +173,6 @@ class ScanRow:
     sx2_fraction: float | None = None
     parity: float | None = None
     error: str | None = None
-
-
-def _spin_x(n_atoms: int) -> np.ndarray:
-    """Dense collective S_x on the spin-N/2 ladder, m ascending."""
-    s = n_atoms / 2.0
-    m = np.arange(n_atoms + 1) - s
-    raising = 0.5 * np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    sx = np.zeros((n_atoms + 1, n_atoms + 1))
-    idx = np.arange(n_atoms)
-    sx[idx + 1, idx] = raising
-    sx[idx, idx + 1] = raising
-    return sx
 
 
 # Basis states (n + dn, j + dj) that H couples |n, j> to, in ascending
@@ -319,7 +307,7 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
-    tol = _require("tol", tol, "positive")
+    tol = _require("tol", tol, "tolerance")
     if not isinstance(h, sparse.csr_matrix):
         h = sparse.csr_matrix(h)
     dim = h.shape[0]
@@ -426,7 +414,7 @@ def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerat
     energy is the eigenvalue that came with the state and is reported as
     given; it must be finite.
     """
-    energy = _require("energy", energy, "finite")
+    energy = _require("energy", energy, "energy")
     vec = np.asarray(state, dtype=float)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
@@ -435,8 +423,9 @@ def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerat
     photon_weights = (psi**2).sum(axis=1)
     spin_weights = (psi**2).sum(axis=0)
     n_values = np.arange(p.n_max + 1, dtype=float)
-    m_values = np.arange(p.n_atoms + 1, dtype=float) - p.n_atoms / 2.0
-    sx = _spin_x(p.n_atoms)
+    m_values, _, spin, _ = _matrix_elements(p)
+    upper = np.diag(0.5 * spin if p.rwa else spin, 1)  # under rwa spin holds the S+ elements
+    sx = upper + upper.T
     sx2 = sx @ sx
     parity = float(
         ((1.0 - 2.0 * (np.arange(p.n_max + 1) % 2)) @ (psi**2)) @ (1.0 - 2.0 * (np.arange(p.n_atoms + 1) % 2))
@@ -462,13 +451,12 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     amplitude x (per sqrt(N)) and spin angle t gives 0 up to the critical
     point and (F omega_A / 4 omega)(1 - 1/F^2) beyond it.
     """
-    fom = _require("fom", fom, "nonnegative")
-    omega = _require("omega", omega, "positive")
-    omega_a = _require("omega_a", omega_a, "positive")
+    fom = _require("fom", fom, "figure of merit")
+    omega = _require("omega", omega, "frequency")
+    omega_a = _require("omega_a", omega_a, "frequency")
     if fom <= 1.0:
         return 0.0
-    fraction = fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / _power("fom", fom, 2))
-    return _finite_result("mean-field photon fraction", fraction, fom=fom, omega=omega, omega_a=omega_a)
+    return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
 
 
 def _converged_ground(p: DickeParams) -> GroundStateReport:
@@ -587,7 +575,7 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     setting.  A worker that dies raises BrokenProcessPool.
     """
     max_workers = _require_count("worker count", max_workers)
-    grid = sorted(_require("fom grid value", f, "nonnegative") for f in fom_grid)
+    grid = sorted(_require("fom grid value", f, "figure of merit") for f in fom_grid)
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
     if not template.rwa:
         # ARPACK's solver maps scipy's OpenBLAS; load it before the budget looks for libraries
@@ -612,7 +600,7 @@ def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | N
     Linear interpolation between the bracketing grid points; None when the
     scan never crosses.
     """
-    threshold = _require("threshold", threshold, "nonnegative")
+    threshold = _require("threshold", threshold, "threshold")
     previous = None
     for row in rows:
         if row.photon_fraction is None:

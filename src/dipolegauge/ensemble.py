@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import CONSTANTS, QuadratureError, _cutoff_value, _require
+from .constants import CONSTANTS, _require
 from .coupling import AtomSpecies, FigureOfMeritReport, fom_density_q
 
 # Cell offsets (dx, dy, dz) >= (0, 0, 0) in lexicographic order: an atom's own
@@ -99,7 +99,12 @@ def _closest_pair_distance(positions: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class AtomConfiguration:
-    """Positions (m), dipole vectors (C*m) and the bounding volume (m^3); the smallest pair distance is kept."""
+    """Positions (m), dipole vectors (C*m) and the bounding volume (m^3); the smallest pair distance is kept.
+
+    Each dipole magnitude must lie in the "dipole moment" row of
+    constants.DOMAINS (0 allowed), and the smallest pair distance in the
+    "length" row.
+    """
 
     positions: np.ndarray
     dipoles: np.ndarray
@@ -117,11 +122,13 @@ class AtomConfiguration:
             )
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(dipoles))):
             raise ValueError("positions and dipoles must be finite")
-        volume = _require("volume", self.volume, "positive")
-        min_distance = _closest_pair_distance(positions) if len(positions) >= 2 else math.nan
-        if min_distance == 0.0:
-            # distances come from squared differences, which underflow to 0 below about 1e-154 m
-            raise ValueError("positions must be pairwise distinct (atoms closer than about 1e-154 m coincide)")
+        volume = _require("volume", self.volume, "volume")
+        nonzero = [m for m in map(math.hypot, *dipoles.T.tolist()) if m]
+        for magnitude in (min(nonzero, default=0.0), max(nonzero, default=0.0)):
+            _require("dipole magnitude", magnitude, "dipole moment")
+        min_distance = math.nan
+        if len(positions) >= 2:
+            min_distance = _require("smallest pair distance", _closest_pair_distance(positions), "length")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "dipoles", dipoles)
         object.__setattr__(self, "volume", volume)
@@ -159,7 +166,7 @@ def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]
     Convention: each atom owns a radius-1/kM region; the pair threshold is
     the sum of the two radii.
     """
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     threshold = 2.0 / mu
     # Candidates within a slightly wider radius are re-tested on the distance
     # itself, so a pair exactly 2/kM apart (touching zones) is never flagged.
@@ -176,48 +183,13 @@ def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]
 
 def max_packing_density(k_m) -> float:
     """Density (kM/2)^3 of a simple-cubic lattice with spacing 2/kM (1/m^3)."""
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     return (mu / 2.0) ** 3
 
 
 def config_figure_of_merit(config: AtomConfiguration, species: AtomSpecies) -> FigureOfMeritReport:
     """Density-quality figure of merit at the configuration's number density."""
     return fom_density_q(len(config) / config.volume, species.lambda_a, species.quality)
-
-
-# Smallest kM * separation the pair overlap accepts: the closed form divides
-# by (kM r)^3, which leaves the normal floats below about 1e-102 and
-# underflows to 0 below about 1e-108.
-MIN_SCALED_SEPARATION = 1e-100
-
-
-def _scaled_separation(mu: float, separation: float) -> float:
-    """kM * separation, rejected below MIN_SCALED_SEPARATION."""
-    x = mu * separation
-    if not x >= MIN_SCALED_SEPARATION:  # NaN included
-        raise ValueError(
-            f"kM * separation is {x:.3g}; the pair overlap needs at least {MIN_SCALED_SEPARATION:g}, "
-            "below which (kM r)^3 underflows"
-        )
-    return x
-
-
-def _finite_overlap(scaled: float, exponent: int, separation: float) -> float:
-    """scaled * 2**exponent, rejected unless finite.
-
-    The closed form carries r^-3, which overflows for pairs closer than
-    about 1e-99 m (kM r may still be above MIN_SCALED_SEPARATION there).
-    """
-    try:
-        value = math.ldexp(scaled, exponent)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(
-            f"pair overlap overflows at separation {separation:.3g} m: the closed form needs pairs "
-            "at least about 1e-99 m apart and dipoles well inside the float range"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -236,16 +208,13 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
 
     |dA| |dB| kM^3/(8 pi eps0) * exp(-x) * (2x^3 + 4x^2 + 8x + 8)/x^3 with
     x = kM * separation; a triangle-inequality bound over all dipole
-    orientations on the exact cross integral.  The magnitudes enter as
-    mantissa and power of two, so the bound is rounded into the subnormal
-    range at most once, at the end, however small they are.
+    orientations on the exact cross integral.
     """
-    mu = _cutoff_value(k_m)
-    x = _scaled_separation(mu, _require("separation", separation, "positive"))
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    x = mu * _require("separation", separation, "length")
     poly = (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0) / x**3
-    d_a, d_b = _require("d_a", d_a, "nonnegative"), _require("d_b", d_b, "nonnegative")
-    (f_a, e_a), (f_b, e_b) = math.frexp(d_a), math.frexp(d_b)
-    return _finite_overlap(f_a * f_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly, e_a + e_b, separation)
+    d_a, d_b = _require("d_a", d_a, "dipole moment"), _require("d_b", d_b, "dipole moment")
+    return d_a * d_b * mu**3 / (8.0 * math.pi * CONSTANTS.eps0) * math.exp(-x) * poly
 
 
 def residual_overlap_energy(
@@ -270,52 +239,36 @@ def residual_overlap_energy(
     machine epsilon times it: error_estimate = (16 + x) eps * bound, the x
     carrying the rounding of x itself through exp(-x).
 
-    Each dipole is scaled by a power of two to a magnitude in [0.5, 1),
-    which is exact, and the energy is scaled back in one last step, so
-    tiny dipoles neither underflow early nor change the bits of a result
-    in the normal range.  Magnitudes come from math.hypot, which scales
-    internally; a plain norm squares them to 0 below about 1e-154 C*m.
-
-    kM r below MIN_SCALED_SEPARATION raises ValueError, since the closed
-    form divides by (kM r)^3, and so does an energy or bound that is not
-    finite: r^-3 overflows for pairs closer than about 1e-99 m.
-
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself
-    nearly zero; QuadratureError is raised when the rounding bound
-    exceeds it.
+    nearly zero.  Every report meets it: the tolerance domain starts above
+    the largest rounding bound, (16 + 745) eps, since past x = 745 exp(-x)
+    and with it the bound are 0.
     """
-    mu = _cutoff_value(k_m)
-    tol = _require("tol", tol, "positive")
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    _require("tol", tol, "tolerance")
     i, j = pair
     if i == j:
         raise ValueError("pair indices must be distinct")
     if not (0 <= i < len(config) and 0 <= j < len(config)):
         raise ValueError(f"pair {pair} out of range for {len(config)} atoms")
-    m_a, m_b = math.hypot(*config.dipoles[i]), math.hypot(*config.dipoles[j])
-    (_, e_a), (_, e_b) = math.frexp(m_a), math.frexp(m_b)
-    d_a = np.ldexp(config.dipoles[i], -e_a)
-    d_b = np.ldexp(config.dipoles[j], -e_b)
+    d_a, d_b = config.dipoles[i], config.dipoles[j]
     axis = config.positions[j] - config.positions[i]
     # _pair_distances' sqrt(dx*dx + dy*dy + dz*dz), the distance the spacing checks
     # measured, bit for bit; in Python floats, as calling it doubled this function's time
     dx, dy, dz = axis.tolist()
-    separation = math.sqrt(dx * dx + dy * dy + dz * dz)
-    x = _scaled_separation(mu, separation)
+    separation = _require("separation", math.sqrt(dx * dx + dy * dy + dz * dz), "length")
+    x = mu * separation
     n = axis / separation
 
     prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)
     axial = (x**3 + 3.0 * x**2 + 6.0 * x + 6.0) * float(n @ d_a) * float(n @ d_b)
-    energy = _finite_overlap(prefactor * (isotropic - axial), e_a + e_b, separation)
-    bound = overlap_envelope_bound(m_a, m_b, mu, separation)
-    error_estimate = (16.0 + x) * np.finfo(float).eps * bound
-    if error_estimate > tol * bound:
-        raise QuadratureError("overlap closed form cannot reach the requested tolerance", error_estimate)
+    bound = overlap_envelope_bound(math.hypot(*d_a), math.hypot(*d_b), mu, separation)
     return OverlapReport(
         pair=(i, j),
         separation=separation,
-        overlap_energy=energy,
+        overlap_energy=prefactor * (isotropic - axial),
         bound=bound,
-        error_estimate=error_estimate,
+        error_estimate=(16.0 + x) * np.finfo(float).eps * bound,
     )

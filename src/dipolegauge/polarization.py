@@ -27,7 +27,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ._igamma import gammainc3
-from .constants import _cutoff_value, _require
+from .constants import DOMAINS, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,8 +52,8 @@ def suppression_factor(k_m, k: float) -> float:
     Equals 1 at k = 0 and 1/2 at k = kM; the long-wavelength condition is
     met when 1 - suppression_factor(k_radiation) stays small.
     """
-    mu = _cutoff_value(k_m)
-    k = _require("k", k, "nonnegative")
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    k = _require("k", k, "mode wavenumber")
     return mu * mu / (k * k + mu * mu)
 
 
@@ -66,8 +66,8 @@ def radial_envelope(k_m, r: float) -> float:
     the closed form cancels catastrophically.  Grows like (kM r)^3/6 for
     kM r << 1 and tends to 1 from below.
     """
-    mu = _cutoff_value(k_m)
-    r = _require("r", r, "nonnegative")
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    r = _require("r", r, "radius")
     return gammainc3(mu * r)
 
 
@@ -75,24 +75,16 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     """Filtered transverse projector in k-space (3x3, symmetric).
 
     (2*pi)^(-3/2) (id - k k / k^2) kM^2/(k^2 + kM^2).  The projector is
-    direction-dependent at k = 0, so a zero wavevector is rejected rather
-    than assigned a limit value.
+    direction-dependent at k = 0, so |k| must lie in the wavenumber domain,
+    which also keeps k^2 a normal float.
     """
     import numpy as np
 
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     k = _vector(k_vec)
-    # The zero test and the projector take k scaled by the power of two of
-    # its largest component, which is exact and keeps ks @ ks in [1/4, 3):
-    # k @ k underflows below about 1e-162 /m and overflows above 1.3e154 /m.
-    ks = np.ldexp(k, -math.frexp(float(np.abs(k).max()))[1])
-    ks2 = float(ks @ ks)
-    if ks2 == 0.0:
-        raise ValueError("transverse projector is undefined at k = 0")
-    projector = np.eye(3) - np.outer(ks, ks) / ks2
-    with np.errstate(over="ignore"):
-        k2 = float(k @ k)  # inf past the overflow gives the filter its limit 0
-    return FT_PREFACTOR * mu * mu / (k2 + mu * mu) * projector
+    _require("|k_vec|", math.hypot(*k), "wavenumber")
+    k2 = float(k @ k)
+    return FT_PREFACTOR * mu * mu / (k2 + mu * mu) * (np.eye(3) - np.outer(k, k) / k2)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,26 +98,15 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[..., 0] + a[:, 1] * b[..., 1] + a[:, 2] * b[..., 2]
 
 
-# Smallest separation the kernel and the fields accept (m).  They divide by
-# r^3, which underflows below about 1e-108 m and leaves the residual field
-# non-finite from about 1e-104 m; at the limit every field stays finite for
-# all accepted cutoffs.
-MIN_SEPARATION = 1e-100
-
-
 def _geometry(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norm r and unit vector n of each (M, 3) separation; rejects r below MIN_SEPARATION."""
+    """Norm r and unit vector n of each (M, 3) separation; every r must lie in the length domain."""
     import numpy as np
 
+    low, high, _, _ = DOMAINS["length"]
     r = np.sqrt(_dot3(rel, rel))
-    short = ~(r >= MIN_SEPARATION)  # NaN included
-    if short.any():
-        _refuse_separation(float(r[short][0]))
+    _require("separation", r.min(initial=low), "length")  # NaN propagates through both
+    _require("separation", r.max(initial=high), "length")
     return r, rel / r[:, None]
-
-
-def _refuse_separation(r: float):
-    raise ValueError(f"kernel and dipole fields need separations of at least {MIN_SEPARATION:g} m, got {r!r} m")
 
 
 def _kernel_terms(mu: float, x) -> tuple[list[float], list[float]]:
@@ -136,22 +117,16 @@ def _kernel_terms(mu: float, x) -> tuple[list[float], list[float]]:
     r = sqrt(x.x) summed left to right, r^3 and exp from libm, the envelope
     from _igamma.  The envelope multiplies before the division, the
     rounding order the CLI golden output records.  Refuses non-finite
-    components and r below MIN_SEPARATION (NaN included).
+    components and an r outside the length domain.
     """
     x0, x1, x2 = (float(v) for v in x)
     if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("vector components must be finite")
-    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)  # inf once x.x overflows
-    if not r >= MIN_SEPARATION:
-        _refuse_separation(r)
-    try:
-        r3 = r**3
-    except OverflowError:  # r above about 5.6e102 m, where the far term is below the subnormals
-        r3 = math.inf
+    r = _require("separation", math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), "length")  # inf once x.x overflows
     n = (x0 / r, x1 / r, x2 / r)
     s = mu * r
     envelope = gammainc3(s)
-    far_denominator = 4.0 * math.pi * r3
+    far_denominator = 4.0 * math.pi * r**3
     near_scale = mu * mu * math.exp(-s) / (8.0 * math.pi * r)
     far, near = [], []
     for a in range(3):
@@ -177,7 +152,7 @@ def transverse_delta_real_exact(k_m, x) -> np.ndarray:
     """
     import numpy as np
 
-    far, near = _kernel_terms(_cutoff_value(k_m), _vector(x).tolist())
+    far, near = _kernel_terms(_require("cutoff wavenumber", k_m, "wavenumber"), _vector(x).tolist())
     return np.reshape([f + g for f, g in zip(far, near)], (3, 3))
 
 
@@ -195,7 +170,7 @@ def transverse_delta_real_far(k_m, x) -> np.ndarray:
     """
     import numpy as np
 
-    far, _ = _kernel_terms(_cutoff_value(k_m), _vector(x).tolist())
+    far, _ = _kernel_terms(_require("cutoff wavenumber", k_m, "wavenumber"), _vector(x).tolist())
     return np.reshape(far, (3, 3))
 
 
@@ -207,6 +182,7 @@ def transverse_delta_real_far(k_m, x) -> np.ndarray:
 def transverse_polarization(d, x_a, k_m, x) -> np.ndarray:
     """Transverse polarization (C/m^2) at x of a dipole d (C*m) at x_a."""
     dv = _vector(d)
+    _require("|d|", math.hypot(*dv), "dipole moment")
     kernel = transverse_delta_real_exact(k_m, _vector(x) - _vector(x_a))
     return kernel @ dv
 
@@ -220,6 +196,7 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
     it back separately (the pair-overlap routine does).
     """
     dv = _vector(d)
+    _require("|d|", math.hypot(*dv), "dipole moment")
     r, n = _geometry((_vector(x) - _vector(x_a))[None, :])
     nd = _dot3(n, dv)
     return (-(3.0 * nd[:, None] * n - dv) / (4.0 * math.pi * r**3)[:, None])[0]
@@ -255,8 +232,9 @@ def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndar
     """
     import numpy as np
 
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     dv = _vector(d)
+    _require("|d|", math.hypot(*dv), "dipole moment")
     r, n = _geometry(np.asarray(points, dtype=float) - _vector(x_a))
     nd = _dot3(n, dv)
     s = mu * r

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from dipolegauge.constants import QuadratureError, _cutoff_value
+from dipolegauge.constants import QuadratureError, _require
 from dipolegauge.polarization import _vector
 
 _IDENTITY3 = np.eye(3)
@@ -78,7 +78,7 @@ def numeric_inverse_transform(k_m, x, tol: float = 1e-6) -> np.ndarray:
     tol is a relative (Frobenius) accuracy target; QuadratureError is
     raised with the achieved estimate when it cannot be met.
     """
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     v = _vector(x)
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")

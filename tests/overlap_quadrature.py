@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc
 
-from dipolegauge.constants import CONSTANTS, QuadratureError, _cutoff_value
+from dipolegauge.constants import CONSTANTS, QuadratureError, _require
 from dipolegauge.ensemble import AtomConfiguration, OverlapReport, overlap_envelope_bound
 from dipolegauge.polarization import total_residual_polarization_many
 
@@ -137,7 +137,7 @@ def quadrature_overlap_energy(config: AtomConfiguration, pair: tuple[int, int], 
     tol is relative to the envelope bound; error_estimate adds the
     quadrature estimates and the truncation.
     """
-    mu = _cutoff_value(k_m)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
     i, j = pair
     x_a = config.positions[i]
     x_b = config.positions[j]

@@ -99,7 +99,7 @@ class TestCutoffWindow:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "dipolegauge: invalid input: radiation wavenumber must be positive and at most 1e+90 /m, got 1e+200"
+            "dipolegauge: invalid input: radiation wavenumber must be from 1e-20 to 1e+90 /m, got 1e+200"
         ]
 
     def test_tolerance_below_quadrature_floor_exits_2(self, capsys):
@@ -107,7 +107,7 @@ class TestCutoffWindow:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "dipolegauge: invalid input: relative tolerance must be at least 1.1102230246251565e-14, got 1e-15"
+            "dipolegauge: invalid input: tol must be from 1e-12 to 1, got 1e-15"
         ]
 
 
@@ -133,13 +133,15 @@ class TestCriticalDensity:
         assert row["critical_to_crystalline"] == pytest.approx(0.64, rel=0.10)
 
     def test_wavelength_cubed_below_float_range_exits_2(self, capsys, tmp_path):
-        # (1e-115 nm)^3 underflows to 0, the divisor of the critical density
+        # (1e-115 nm)^3 underflows to 0, the divisor of the critical density: refused when the file is read
         registry = tmp_path / "species.csv"
         registry.write_text("name,mass_amu,lambda_nm,gamma_fwhm_MHz,crystalline_density_per_m3\nX,1.0,1e-115,1.0,\n")
         code, out, err = run_cli(capsys, ["critical-density", "--registry", str(registry)])
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["dipolegauge: invalid input: X: lambda_a**3 must be a normal float, got lambda_a = 1.0000000000000001e-124"]
+        assert err.splitlines() == [
+            f"dipolegauge: invalid input: {registry}:2: X: lambda_a must be from 1e-30 to 1e+10 m, got 1.0000000000000001e-124"
+        ]
 
 
 class TestDickeScan:
@@ -244,7 +246,7 @@ class TestPolarization:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "dipolegauge: invalid input: kernel and dipole fields need separations of at least 1e-100 m, got 1e-150 m"
+            "dipolegauge: invalid input: separation must be from 1e-30 to 1e+10 m, got 1e-150"
         ]
 
 
@@ -315,13 +317,13 @@ class TestEnsembleCheck:
         code, out, err = run_cli(capsys, ["ensemble-check", "--config", path, "--kM", "1e10", "--overlap", "0", "1"])
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("dipolegauge: invalid input: kM * separation")
+        assert err.count("\n") == 1 and err.startswith("dipolegauge: invalid input: smallest pair distance must be")
 
     @pytest.mark.parametrize(
         "separation, k_m, message",
         [
-            (3.0e-10, "1e200", "cutoff wavenumber must be positive and at most 1e+90 /m"),  # kM^3 overflows
-            (1.0e-105, "1e10", "pair overlap overflows at separation 1e-105 m"),  # r^-3 overflows
+            (3.0e-10, "1e200", "cutoff wavenumber must be from 1e-20 to 1e+90 /m"),  # kM^3 overflows
+            (1.0e-105, "1e10", "smallest pair distance must be from 1e-30 to 1e+10 m"),  # r^-3 overflows
         ],
     )
     def test_overlap_outside_float_range_exits_2(self, capsys, tmp_path, separation, k_m, message):
@@ -330,6 +332,14 @@ class TestEnsembleCheck:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
+
+    def test_overlap_tolerance_below_rounding_floor_exits_2(self, capsys, atoms_file):
+        code, out, err = run_cli(
+            capsys, ["ensemble-check", "--config", atoms_file, "--kM", "1e10", "--overlap", "0", "1", "--tol", "1e-18"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["dipolegauge: invalid input: tol must be from 1e-12 to 1, got 1e-18"]
 
     def test_config_not_an_object_exits_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"
@@ -353,7 +363,7 @@ class TestEnsembleCheck:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            f"dipolegauge: invalid input: cutoff wavenumber must be positive and at most 1e+90 /m, got {shown}"
+            f"dipolegauge: invalid input: cutoff wavenumber must be from 1e-20 to 1e+90 /m, got {shown}"
         ]
 
     def test_missing_config_exits_2(self, capsys):

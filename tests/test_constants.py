@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from dipolegauge.constants import (
     CONSTANTS,
+    DOMAINS,
     ELEMENTARY_CHARGE,
-    MAX_CUTOFF_WAVENUMBER,
     PLANCK,
     RYDBERG,
     SPEED_OF_LIGHT,
-    _cutoff_value,
+    _require,
     derived_constants,
     hydrogen_wavenumber,
     wavelength_to_omega,
@@ -75,14 +75,20 @@ def test_nonpositive_wavelength_rejected(bad):
         wavelength_to_omega(bad)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nextafter(MAX_CUTOFF_WAVENUMBER, math.inf), 1e200, math.inf, math.nan])
+LOWEST_CUTOFF, HIGHEST_CUTOFF = DOMAINS["wavenumber"][:2]
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, math.nextafter(HIGHEST_CUTOFF, math.inf), 1e200, math.inf, math.nan, math.nextafter(LOWEST_CUTOFF, 0.0)]
+)
 def test_cutoff_outside_range_rejected(bad):
-    with pytest.raises(ValueError, match="positive and at most 1e\\+90 /m"):
-        _cutoff_value(bad)
-    assert _cutoff_value(MAX_CUTOFF_WAVENUMBER) == MAX_CUTOFF_WAVENUMBER
+    with pytest.raises(ValueError, match="^cutoff wavenumber must be from 1e-20 to 1e\\+90 /m, got"):
+        _require("cutoff wavenumber", bad, "wavenumber")
+    for limit in (LOWEST_CUTOFF, HIGHEST_CUTOFF):
+        assert _require("cutoff wavenumber", limit, "wavenumber") == limit
 
 
 @pytest.mark.parametrize("bad", [None, "abc", [1.0, 2.0]])
 def test_non_number_rejected_by_name(bad):
     with pytest.raises(ValueError, match="^cutoff wavenumber must be a number, got"):
-        _cutoff_value(bad)
+        _require("cutoff wavenumber", bad, "wavenumber")

@@ -238,6 +238,16 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="lambda_nm"):
             load_species_registry(path)
 
+    def test_wavelength_outside_domain_names_file_and_line(self, tmp_path):
+        # (1e-115 nm)^3 underflows to 0; the species refuses the wavelength when the file is read
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "name,mass_amu,lambda_nm,gamma_fwhm_MHz,crystalline_density_per_m3\n"
+            "X,1.0,500,5.0,\nY,1.0,1e-115,5.0,\n"
+        )
+        with pytest.raises(RegistryError, match=r"^.*bad\.csv:3: Y: lambda_a must be from 1e-30 to 1e\+10 m, got"):
+            load_species_registry(path)
+
     def test_non_numeric_crystalline_density_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, ELEMENTARY_CHARGE, HARTREE, MAX_CUTOFF_WAVENUMBER, RYDBERG
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, ELEMENTARY_CHARGE, HARTREE, RYDBERG
 from dipolegauge.cutoff_window import (
     cutoff_window,
     hydrogen_first_order_shift,
@@ -49,7 +49,7 @@ class TestSelfEnergy:
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
     def test_non_finite_dipole_rejected(self, d):
-        with pytest.raises(ValueError, match=r"^d must be finite and nonnegative, got"):
+        with pytest.raises(ValueError, match=r"^d must be 0 or from 1e-100 to 1 C\*m, got"):
             transverse_self_energy(d, 1e10)
 
 
@@ -81,7 +81,7 @@ class TestHydrogenShift:
             hydrogen_shift_numeric(1e10, tol=0.0)
 
     def test_nan_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="^tol must be finite and positive, got nan"):
+        with pytest.raises(ValueError, match="^tol must be from 1e-12 to 1, got nan"):
             hydrogen_shift_numeric(1e10, tol=math.nan)
 
 
@@ -140,15 +140,16 @@ class TestWindow:
 
     @pytest.mark.parametrize("threshold", ["lower_threshold", "upper_threshold"])
     def test_nan_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError, match=f"^{threshold} must be finite and positive, got nan"):
+        with pytest.raises(ValueError, match=f"^{threshold} must be from 1e-30 to 1e\\+30, got nan"):
             cutoff_window(1e7, 1e10, **{threshold: math.nan})
 
     def test_radiation_wavenumber_limit(self):
         # k_radiation^2 overflows the floats above about 1.3e154 /m
-        for k_radiation in (math.nextafter(MAX_CUTOFF_WAVENUMBER, math.inf), 1e200, math.inf, math.nan):
-            with pytest.raises(ValueError, match="at most 1e\\+90 /m"):
+        low, high = DOMAINS["wavenumber"][:2]
+        for k_radiation in (math.nextafter(high, math.inf), 1e200, math.inf, math.nan, math.nextafter(low, 0.0)):
+            with pytest.raises(ValueError, match="^radiation wavenumber must be from 1e-20 to 1e\\+90 /m"):
                 cutoff_window(k_radiation, 1e10)
-        window = cutoff_window(MAX_CUTOFF_WAVENUMBER, 1e10)
+        window = cutoff_window(high, 1e10)
         assert window.lower_violation == 1.0 and not window.admissible
 
 

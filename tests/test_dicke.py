@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
-from kron_hamiltonian import excitation_diagonal, kron_hamiltonian, mode_displacement
+from kron_hamiltonian import _spin_x as kron_spin_x, excitation_diagonal, kron_hamiltonian, mode_displacement
 
 from dipolegauge import cli, dicke
+from dipolegauge.constants import DOMAINS
 from dipolegauge.dicke import (
     DickeParams,
     DimensionError,
@@ -36,6 +37,9 @@ from dipolegauge.dicke import (
     ScanRow,
     SolverConvergenceError,
 )
+
+# Figures of merit from 0 to 3, positive ones from the floor of their domain up.
+foms = st.just(0.0) | st.floats(min_value=DOMAINS["figure of merit"][0], max_value=3.0)
 
 
 def params(n_atoms=6, fom=1.0, omega=1.0, rwa=False, n_max=16):
@@ -114,7 +118,7 @@ class TestBuild:
     @pytest.mark.parametrize("name", ["omega", "omega_a", "g_collective"])
     def test_non_finite_parameter_named(self, name, value):
         fields = dict(n_atoms=2, omega=1.0, omega_a=1.0, g_collective=0.5)
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be (0 or )?from "):
             DickeParams(**{**fields, name: value})
 
     @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2"])
@@ -130,7 +134,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_figure_of_merit_named(self, value):
-        with pytest.raises(ValueError, match="^fom must be finite"):
+        with pytest.raises(ValueError, match="^fom must be 0 or from 1e-40 to 1e\\+40, got"):
             DickeParams.from_figure_of_merit(n_atoms=2, fom=value, omega=1.0, omega_a=1.0)
 
 
@@ -183,7 +187,7 @@ class TestSymmetries:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=30),  # dimension at most 13 * 31 = 403
-        st.floats(min_value=0.0, max_value=3.0),
+        foms,
         st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
@@ -251,7 +255,7 @@ class TestExcitationBlocks:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=30),
-        st.floats(min_value=0.0, max_value=3.0),
+        foms,
         st.floats(min_value=0.3, max_value=3.0),
     )
     @settings(max_examples=40, deadline=None)
@@ -276,7 +280,7 @@ class TestExcitationBlocks:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=30),  # dimension at most 13 * 31 = 403
-        st.floats(min_value=0.0, max_value=3.0),
+        foms,
         st.floats(min_value=0.3, max_value=3.0),
     )
     @settings(max_examples=40, deadline=None)
@@ -387,6 +391,17 @@ class TestObservables:
         # stretched spin state: <Sx^2> = S/2, so the fraction is 1/(4N)
         assert report.sx2_fraction == pytest.approx(1.0 / (4.0 * p.n_atoms), rel=1e-10)
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_sx2_bit_for_bit_with_the_kronecker_oracle(self, rwa, rng):
+        # S_x comes from the Hamiltonian's own matrix elements; the oracle builds it on its own
+        for n_atoms in (1, 5, 24):
+            p = params(n_atoms=n_atoms, fom=1.3, rwa=rwa, n_max=6)
+            psi = rng.normal(size=(p.n_max + 1, n_atoms + 1))
+            psi /= np.linalg.norm(psi)
+            sx = kron_spin_x(n_atoms)
+            expected = float(np.einsum("nj,jk,nk->", psi, sx @ sx, psi)) / n_atoms**2
+            assert observables(psi.ravel(), p, energy=0.0).sx2_fraction == expected
+
     def test_unnormalized_state_rejected(self):
         p = params(n_atoms=4, fom=0.5, n_max=8)
         with pytest.raises(ValueError, match="normalized"):
@@ -409,7 +424,7 @@ class TestMeanField:
         [((math.nan, 1.0, 1.0), "fom"), ((2.0, math.inf, 1.0), "omega"), ((2.0, 1.0, math.nan), "omega_a")],
     )
     def test_non_finite_arguments_named(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be (0 or )?from "):
             meanfield_order_parameter(*args)
 
     def test_variational_oracle(self):
@@ -742,7 +757,7 @@ class TestScan:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_grid_rejected(self, capfd, value, rwa):
         template = DickeParams(n_atoms=4, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=rwa)
-        with pytest.raises(ValueError, match="^fom grid value must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^fom grid value must be 0 or from 1e-40 to 1e\\+40, got"):
             scan_coupling(template, [0.5, value])
         assert capfd.readouterr() == ("", "")  # no LAPACK complaint either
 

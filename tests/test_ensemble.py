@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, MAX_CUTOFF_WAVENUMBER, QuadratureError
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, QuadratureError
 from dipolegauge.coupling import default_species_registry
 from dipolegauge.cutoff_window import transverse_self_energy
 from dipolegauge.ensemble import (
@@ -31,12 +31,12 @@ SUBNORMAL = math.ulp(0.0)  # spacing of the floats that underflow
 
 # Directions and coordinates on a 0.01 grid (positions in units of 1/kM); the
 # positions are lattice-like, and some pairs fall inside 2/kM.  Dipole
-# magnitudes are log-uniform over 1e-300..1e-20 C*m, far enough down that
-# every square, and many products and energies, underflow.
+# magnitudes are log-uniform over 1e-100..1e-20 C*m, from the floor of their
+# domain up.
 grid = st.integers(min_value=-100, max_value=100).map(lambda k: k / 100.0)
 grid_vectors = st.tuples(grid, grid, grid).map(np.array)
 directions = grid_vectors.filter(lambda v: np.linalg.norm(v) > 0.1)
-dipole_vectors = st.tuples(st.floats(min_value=-300.0, max_value=-20.0), directions).map(
+dipole_vectors = st.tuples(st.floats(min_value=-100.0 + 1e-9, max_value=-20.0), directions).map(
     lambda draw: 10.0 ** draw[0] * draw[1] / np.linalg.norm(draw[1])
 )
 coordinates = st.integers(min_value=-400, max_value=400).map(lambda k: k / 100.0)
@@ -96,15 +96,15 @@ def spread_geometry(kind, count, seed):
         return rng.uniform(0.0, 6.0, size=(100 + count, 3)) / MU
     if kind == "cluster beside outlier":
         return np.concatenate([rng.normal(size=(count - 1, 3)), [[1e6, -3e5, 2e6]]]) / MU
-    if kind == "1e-150 m beside 1 m":
-        tiny = rng.integers(0, 100, size=(count // 2, 3)) * 1e-150
+    if kind == "1e-25 m beside 1 m":
+        tiny = rng.integers(0, 100, size=(count // 2, 3)) * 1e-25
         return np.concatenate([tiny, rng.uniform(0.0, 1.0, size=(count - count // 2, 3))])
     return rng.uniform(0.0, 4.0, size=(2 + count % 6, 3)) / MU  # "2-7 atoms": a single cell
 
 
 geometries = st.tuples(
     st.sampled_from(
-        ["collinear", "shared x", "planar lattice", "dense cube", "cluster beside outlier", "1e-150 m beside 1 m", "2-7 atoms"]
+        ["collinear", "shared x", "planar lattice", "dense cube", "cluster beside outlier", "1e-25 m beside 1 m", "2-7 atoms"]
     ),
     st.integers(min_value=2, max_value=300),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -152,7 +152,7 @@ class TestGeometry:
             min_pairwise_distance(config)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="^smallest pair distance must be from 1e-30 to 1e\\+10 m, got 0.0"):
             AtomConfiguration(
                 positions=np.zeros((2, 3)), dipoles=np.zeros((2, 3)), volume=1.0
             )
@@ -163,7 +163,7 @@ class TestGeometry:
 
     @pytest.mark.parametrize("volume", [math.nan, math.inf])
     def test_non_finite_volume_rejected(self, volume):
-        with pytest.raises(ValueError, match="volume must be finite and positive"):
+        with pytest.raises(ValueError, match="^volume must be from 1e-90 to 1e\\+30 m\\^3, got"):
             AtomConfiguration(positions=np.zeros((1, 3)), dipoles=np.zeros((1, 3)), volume=volume)
 
 
@@ -214,7 +214,7 @@ class TestIntimacyViolations:
     def test_coincident_atoms_rejected(self, positions, data):
         copy = data.draw(st.integers(0, len(positions) - 1))
         positions = np.insert(positions, data.draw(st.integers(0, len(positions))), positions[copy], axis=0)
-        with pytest.raises(ValueError, match="pairwise distinct"):
+        with pytest.raises(ValueError, match="^smallest pair distance must be from 1e-30"):
             AtomConfiguration(positions=positions, dipoles=np.zeros_like(positions), volume=1.0)
 
     def test_closest_pair_beyond_neighbouring_cells_found(self):
@@ -363,13 +363,17 @@ class TestOverlapEnergy:
 
     def test_nan_tolerance_rejected(self):
         config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
+        with pytest.raises(ValueError, match="^tol must be from 1e-12 to 1, got nan"):
             residual_overlap_energy(config, (0, 1), MU, tol=math.nan)
 
     def test_tolerance_below_rounding_raises(self):
+        # the rounding bound (16 + x) eps is below the tolerance floor up to x = 745, past which the bound is 0
         config = pair_config(5.0 / MU, [0, 0, D0], [0, 0, D0])
-        with pytest.raises(QuadratureError):
+        with pytest.raises(ValueError, match="^tol must be from 1e-12 to 1, got 1e-18"):
             residual_overlap_energy(config, (0, 1), MU, tol=1e-18)
+        floor = DOMAINS["tolerance"][0]
+        report = residual_overlap_energy(pair_config(600.0 / MU, [0, 0, D0], [0, 0, D0]), (0, 1), MU, tol=floor)
+        assert 0.0 < report.error_estimate <= floor * report.bound
 
     def test_envelope_bound_shape(self):
         # polynomial-times-exponential envelope in the scaled separation
@@ -402,21 +406,26 @@ class TestOverlapEnergy:
 
     @pytest.mark.parametrize("separation", [1e-120, 1e-112])
     def test_scaled_separation_below_limit_rejected(self, separation):
-        # at kM = 1e10, kM r is 1e-110 (where (kM r)^3 is 0) or 1e-102; both pairs form a configuration
-        config = pair_config(separation, [0, 0, D0], [0, 0, D0])
-        with pytest.raises(ValueError, match="needs at least 1e-100"):
-            residual_overlap_energy(config, (0, 1), 1e10)
-        with pytest.raises(ValueError, match="needs at least 1e-100"):
+        # at kM = 1e10, kM r would be 1e-110 (where (kM r)^3 is 0) or 1e-102: below the length floor
+        with pytest.raises(ValueError, match="^smallest pair distance must be from 1e-30 to 1e\\+10 m"):
+            pair_config(separation, [0, 0, D0], [0, 0, D0])
+        with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m"):
             overlap_envelope_bound(D0, D0, 1e10, separation)
 
     @pytest.mark.parametrize("separation, dipole", [(1e-105, D0), (2e-100, D0), (3e-10, 1e300)])
     def test_overflowing_pair_rejected(self, separation, dipole):
-        # kM r is above MIN_SCALED_SEPARATION for each, but r^-3 or the dipole product overflows
-        config = pair_config(separation, [0, 0, dipole], [0, 0, dipole])
-        with pytest.raises(ValueError, match="pair overlap overflows"):
-            residual_overlap_energy(config, (0, 1), 1e10)
-        with pytest.raises(ValueError, match="pair overlap overflows"):
+        # r^-3 or the dipole product would overflow: the configuration and the bound refuse the input
+        with pytest.raises(ValueError, match="^(smallest pair distance|dipole magnitude) must be"):
+            pair_config(separation, [0, 0, dipole], [0, 0, dipole])
+        with pytest.raises(ValueError, match="^(separation|d_a) must be"):
             overlap_envelope_bound(dipole, dipole, 1e10, separation)
+
+    def test_pair_separation_above_length_limit_rejected(self):
+        # the configuration bounds only its smallest distance; a far pair is refused by the overlap
+        positions = [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-9], [0.0, 0.0, 1e12]]
+        config = AtomConfiguration(positions=positions, dipoles=np.zeros((3, 3)), volume=1.0)
+        with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m, got 1000000000000.0"):
+            residual_overlap_energy(config, (0, 2), MU)
 
     def test_cutoff_above_limit_rejected(self):
         # kM^3 overflows above about 5.6e102 /m; up to the limit every cube stays finite
@@ -426,20 +435,23 @@ class TestOverlapEnergy:
             lambda k_m: overlap_envelope_bound(D0, D0, k_m, 3e-10),
             max_packing_density,
         ):
-            with pytest.raises(ValueError, match="at most 1e\\+90 /m"):
+            with pytest.raises(ValueError, match="^cutoff wavenumber must be from 1e-20 to 1e\\+90 /m"):
                 call(1e200)
-            call(MAX_CUTOFF_WAVENUMBER)
-        assert math.isfinite(max_packing_density(MAX_CUTOFF_WAVENUMBER))
+            call(DOMAINS["wavenumber"][1])
+        assert math.isfinite(max_packing_density(DOMAINS["wavenumber"][1]))
 
     def test_tiny_dipole_keeps_its_bound(self):
-        # A plain norm squares a dipole this small to 0, and so gives a zero
-        # bound beside a nonzero energy (d_B = 3.4e-233 e*a0, found by hypothesis).
+        # At the floor of the dipole domain energy and bound scale with the
+        # dipole; below it the configuration refuses the dipole.
         d = D0 * np.array([1.0, 0.0, 0.0])
-        tiny = residual_overlap_energy(pair_config(2.0 / MU, d, 3.4e-233 * d), (0, 1), MU)
+        scale = 1.000001 * DOMAINS["dipole moment"][0] / D0
+        tiny = residual_overlap_energy(pair_config(2.0 / MU, d, scale * d), (0, 1), MU)
         unit = residual_overlap_energy(pair_config(2.0 / MU, d, d), (0, 1), MU)
         assert 0.0 < abs(tiny.overlap_energy) <= tiny.bound
-        assert tiny.overlap_energy == pytest.approx(3.4e-233 * unit.overlap_energy, rel=1e-14)
-        assert tiny.bound == pytest.approx(3.4e-233 * unit.bound, rel=1e-14)
+        assert tiny.overlap_energy == pytest.approx(scale * unit.overlap_energy, rel=1e-14)
+        assert tiny.bound == pytest.approx(scale * unit.bound, rel=1e-14)
+        with pytest.raises(ValueError, match="^dipole magnitude must be 0 or from 1e-100 to 1 C\\*m, got"):
+            pair_config(2.0 / MU, d, 3.4e-233 * d)
 
 
 class TestOverlapOracleRule:

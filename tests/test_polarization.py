@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dipolegauge.constants import MAX_CUTOFF_WAVENUMBER
+from dipolegauge.constants import DOMAINS
 from dipolegauge.polarization import (
     FT_PREFACTOR,
-    MIN_SEPARATION,
     longitudinal_dipole_polarization,
     radial_envelope,
     suppression_factor,
@@ -22,11 +21,14 @@ from conftest import random_rotation
 from kernel_quadrature import numeric_inverse_transform
 
 MU = 1.2e10  # representative cutoff wavenumber (1/m)
+LOWEST_CUTOFF, HIGHEST_CUTOFF = DOMAINS["wavenumber"][:2]
+SHORTEST, LONGEST = DOMAINS["length"][:2]
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0)
 vectors = st.tuples(unit_floats, unit_floats, unit_floats).map(np.array).filter(
     lambda v: np.linalg.norm(v) > 1e-3
 )
+radii = st.just(0.0) | st.floats(min_value=SHORTEST, max_value=30.0)  # inside the radius domain
 rotations = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_rotation(np.random.default_rng(seed)))
 
 
@@ -50,13 +52,13 @@ class TestRadialEnvelope:
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_distance_rejected(self, r):
-        with pytest.raises(ValueError, match=r"^r must be finite and nonnegative, got"):
+        with pytest.raises(ValueError, match=r"^r must be 0 or from 1e-30 to 1e\+10 m, got"):
             radial_envelope(MU, r)
 
     def test_overflowing_argument_is_one(self):
-        assert radial_envelope(MAX_CUTOFF_WAVENUMBER, 1e300) == 1.0
+        assert radial_envelope(HIGHEST_CUTOFF, LONGEST) == 1.0
 
-    @given(st.floats(min_value=0.0, max_value=30.0), st.floats(min_value=0.0, max_value=30.0))
+    @given(radii, radii)
     def test_monotone_and_bounded(self, x1, x2):
         # beyond x ~ 35 the complement drops below double resolution
         lo, hi = sorted((x1, x2))
@@ -86,12 +88,12 @@ class TestSuppressionFactor:
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_wavenumber_rejected(self, k):
-        with pytest.raises(ValueError, match=r"^k must be finite and nonnegative, got"):
+        with pytest.raises(ValueError, match=r"^k must be 0 or from 1e-20 to 1e\+90 /m, got"):
             suppression_factor(MU, k)
 
     def test_cutoff_validated(self):
         assert suppression_factor(MU, MU) == 0.5
-        with pytest.raises(ValueError, match="^cutoff wavenumber must be positive"):
+        with pytest.raises(ValueError, match="^cutoff wavenumber must be from 1e-20 to 1e\\+90 /m"):
             suppression_factor(-1.0, MU)
 
 
@@ -115,17 +117,20 @@ class TestKSpaceKernel:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("length", [5e-324, 1e-200, 1e160, 1e300])
     def test_finite_outside_the_range_of_k_squared(self, length):
-        # k @ k underflows below about 1e-162 /m and overflows above about 1.3e154 /m
-        kernel = transverse_delta_k(MU, length * np.array([3.0, 0.0, -4.0]))
-        assert np.all(np.isfinite(kernel))
+        # k @ k underflows below about 1e-162 /m and overflows above about 1.3e154 /m: such a
+        # wavevector lies outside the wavenumber domain and is refused; at its limits the kernel is finite
+        with pytest.raises(ValueError, match="^\\|k_vec\\| must be from 1e-20 to 1e\\+90 /m"):
+            transverse_delta_k(MU, length * np.array([3.0, 0.0, -4.0]))
         projector = np.eye(3) - np.outer([0.6, 0.0, -0.8], [0.6, 0.0, -0.8])
-        filter_value = 1.0 if length < 1.0 else 0.0  # k^2 / kM^2 is below 1e-300 or above 1e300
-        assert kernel == pytest.approx(FT_PREFACTOR * filter_value * projector, rel=1e-14, abs=1e-300)
+        for limit, filter_value in ((LOWEST_CUTOFF, 1.0), (HIGHEST_CUTOFF, 0.0)):
+            kernel = transverse_delta_k(MU, limit * np.array([0.6, 0.0, -0.8]))
+            assert kernel == pytest.approx(FT_PREFACTOR * filter_value * projector, rel=1e-14, abs=1e-140)
 
     def test_equals_unscaled_formula_in_normal_range(self, rng):
         for _ in range(2000):
-            k = rng.normal(size=3) * 10.0 ** rng.uniform(-150.0, 150.0)
-            mu = 10.0 ** rng.uniform(-30.0, 90.0)
+            k = rng.normal(size=3)
+            k *= 10.0 ** rng.uniform(-19.9, 89.9) / np.linalg.norm(k)
+            mu = 10.0 ** rng.uniform(-20.0, 90.0)
             k2 = float(k @ k)
             unscaled = FT_PREFACTOR * mu * mu / (k2 + mu * mu) * (np.eye(3) - np.outer(k, k) / k2)
             assert np.array_equal(transverse_delta_k(mu, k), unscaled)
@@ -214,7 +219,7 @@ class TestKernelRoundingBound:
     def test_exact_and_far_within_stated_bounds(self, mpmath, direction, log_mu, log_s):
         mu, s = 10.0**log_mu, 10.0**log_s
         x = direction / np.linalg.norm(direction) * (s / mu)
-        assume(np.linalg.norm(x) >= MIN_SEPARATION)
+        assume(SHORTEST <= np.linalg.norm(x) <= LONGEST)
         eps = np.finfo(float).eps
         with mpmath.workdps(50):
             far, near = self.exact_terms(mpmath, mu, x)
@@ -354,8 +359,7 @@ class TestPolarizationFields:
             total_residual_polarization(d, np.zeros(3), MU, np.zeros(3))
 
     @staticmethod
-    def public_fields(k_m, x):
-        d = np.array([0.3e-29, -0.2e-29, 1e-29])
+    def public_fields(k_m, x, d=np.array([0.3e-29, -0.2e-29, 1e-29])):
         origin = np.zeros(3)
         return {
             "exact kernel": lambda: transverse_delta_real_exact(k_m, x),
@@ -366,18 +370,32 @@ class TestPolarizationFields:
             "residual batch": lambda: total_residual_polarization_many(d, origin, k_m, np.array([[0.0, 1e-9, 0.0], x])),
         }
 
-    @pytest.mark.parametrize("r", [1e-104, 1e-108, 1e-150, math.nextafter(MIN_SEPARATION, 0.0)])
+    @pytest.mark.parametrize("r", [1e-104, 1e-108, 1e-150, math.nextafter(SHORTEST, 0.0)])
     def test_separation_below_limit_rejected(self, r):
         # below about 1e-104 m r^3 leaves the normal floats and the fields stop being finite
         for field in self.public_fields(MU, np.array([0.0, 0.0, r])).values():
-            with pytest.raises(ValueError, match="separations of at least 1e-100 m"):
+            with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m"):
                 field()
 
+    @pytest.mark.parametrize("d", [[1e308, 1e308, 0.0], [0.0, 2.0, 0.0], [1e-120, 0.0, 0.0]])
+    def test_dipole_outside_domain_rejected(self, d):
+        # a dipole past 1 C*m overflowed 3 (n.d) n - d, and an exp(-kM r) of 0 times it gave NaN
+        x = np.array([1e-5, 0.0, 0.0])
+        for call in (
+            lambda: transverse_polarization(d, np.zeros(3), MU, x),
+            lambda: longitudinal_dipole_polarization(d, np.zeros(3), x),
+            lambda: total_residual_polarization(d, np.zeros(3), MU, x),
+        ):
+            with pytest.raises(ValueError, match="^\\|d\\| must be 0 or from 1e-100 to 1 C\\*m"):
+                call()
+
     def test_fields_finite_at_limit(self):
-        for k_m in np.logspace(-300.0, math.log10(MAX_CUTOFF_WAVENUMBER), 40):
-            for x in (np.array([MIN_SEPARATION, 0.0, 0.0]), np.array([0.0, 0.0, -MIN_SEPARATION])):
-                for name, field in self.public_fields(k_m, x).items():
-                    assert np.all(np.isfinite(field())), (name, k_m)
+        for k_m in np.logspace(math.log10(LOWEST_CUTOFF), math.log10(HIGHEST_CUTOFF), 40):
+            for r in (SHORTEST, LONGEST):
+                for x in (np.array([r, 0.0, 0.0]), np.array([0.0, 0.0, -r])):
+                    for d in (np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.0, DOMAINS["dipole moment"][0]])):
+                        for name, field in self.public_fields(k_m, x, d).items():
+                            assert np.all(np.isfinite(field())), (name, k_m)
 
 
 class TestResidualCancellation:
