@@ -131,6 +131,8 @@ def _parse_grid(text: str) -> list[float]:
     values = [round(start + i * step, 12) for i in range(count + 1)]
     if values[-1] > stop + 1e-9 * step:
         values.pop()
+    if len(set(values)) < len(values):
+        raise CliError(f"invalid grid {text!r}; values repeat after rounding to 12 decimals")
     return values
 
 

@@ -6,8 +6,9 @@ upper limit asks the energy stored in the filtered transverse polarization
 to stay a small perturbation of the atomic binding energy.  The hydrogen
 ground state gives the upper-limit arithmetic in closed form, backed here
 by an independent radial quadrature: a standard-library transcription of
-QUADPACK's QAGI (``_quadpack``), which the tests hold bit for bit to
-``scipy.integrate.quad``, so this module loads neither numpy nor scipy.
+the path QUADPACK's QAGI takes on that integrand (``_quadpack``), which the
+tests hold bit for bit to ``scipy.integrate.quad`` over the tolerance
+domain, so this module loads neither numpy nor scipy.
 """
 
 from __future__ import annotations

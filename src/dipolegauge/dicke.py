@@ -271,11 +271,16 @@ def sector_hamiltonians(p: DickeParams) -> list[tuple[np.ndarray, sparse.csr_mat
     return blocks
 
 
-def parity_diagonal(p: DickeParams) -> np.ndarray:
-    """Diagonal of (-1)^(a'a + S_z + N/2): +/-1 per basis state."""
+def _parity_signs(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^n over photon numbers n and (-1)^j over spin indices j = S_z + N/2."""
     ph = 1.0 - 2.0 * (np.arange(p.n_max + 1) % 2)
     sp = 1.0 - 2.0 * (np.arange(p.n_atoms + 1) % 2)
-    return np.kron(ph, sp)
+    return ph, sp
+
+
+def parity_diagonal(p: DickeParams) -> np.ndarray:
+    """Diagonal of (-1)^(a'a + S_z + N/2): +/-1 per basis state."""
+    return np.kron(*_parity_signs(p))
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -427,9 +432,8 @@ def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerat
     upper = np.diag(0.5 * spin if p.rwa else spin, 1)  # under rwa spin holds the S+ elements
     sx = upper + upper.T
     sx2 = sx @ sx
-    parity = float(
-        ((1.0 - 2.0 * (np.arange(p.n_max + 1) % 2)) @ (psi**2)) @ (1.0 - 2.0 * (np.arange(p.n_atoms + 1) % 2))
-    )
+    ph, sp = _parity_signs(p)
+    parity = float((ph @ (psi**2)) @ sp)
     # rounding can push a sector-supported state's parity past +/-1 by ~1 ulp
     parity = float(np.clip(parity, -1.0, 1.0))
     return GroundStateReport(

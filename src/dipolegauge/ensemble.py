@@ -253,13 +253,15 @@ def residual_overlap_energy(
     if not (0 <= i < len(config) and 0 <= j < len(config)):
         raise ValueError(f"pair {pair} out of range for {len(config)} atoms")
     d_a, d_b = config.dipoles[i], config.dipoles[j]
-    axis = config.positions[j] - config.positions[i]
+    xa, ya, za = config.positions[i].tolist()
+    xb, yb, zb = config.positions[j].tolist()
     # _pair_distances' sqrt(dx*dx + dy*dy + dz*dz), the distance the spacing checks
-    # measured, bit for bit; in Python floats, as calling it doubled this function's time
-    dx, dy, dz = axis.tolist()
+    # measured, bit for bit; in Python floats, as calling it doubled this function's
+    # time, and a difference past the float range is inf without a numpy warning
+    dx, dy, dz = xb - xa, yb - ya, zb - za
     separation = _require("separation", math.sqrt(dx * dx + dy * dy + dz * dz), "length")
     x = mu * separation
-    n = axis / separation
+    n = np.array((dx, dy, dz)) / separation
 
     prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)

@@ -98,15 +98,22 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[..., 0] + a[:, 1] * b[..., 1] + a[:, 2] * b[..., 2]
 
 
-def _geometry(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norm r and unit vector n of each (M, 3) separation; every r must lie in the length domain."""
+def _geometry(points, x_a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separations rel = points - x_a of (M, 3) points, their norms r and unit vectors n.
+
+    Every r must lie in the length domain.  Points and x_a may be any
+    finite floats, so a difference or its square can pass the float range:
+    it is then inf, without a numpy warning, and the length domain refuses it.
+    """
     import numpy as np
 
     low, high, _, _ = DOMAINS["length"]
-    r = np.sqrt(_dot3(rel, rel))
+    with np.errstate(over="ignore"):
+        rel = np.asarray(points, dtype=float) - _vector(x_a)
+        r = np.sqrt(_dot3(rel, rel))
     _require("separation", r.min(initial=low), "length")  # NaN propagates through both
     _require("separation", r.max(initial=high), "length")
-    return r, rel / r[:, None]
+    return rel, r, rel / r[:, None]
 
 
 def _kernel_terms(mu: float, x) -> tuple[list[float], list[float]]:
@@ -183,7 +190,8 @@ def transverse_polarization(d, x_a, k_m, x) -> np.ndarray:
     """Transverse polarization (C/m^2) at x of a dipole d (C*m) at x_a."""
     dv = _vector(d)
     _require("|d|", math.hypot(*dv), "dipole moment")
-    kernel = transverse_delta_real_exact(k_m, _vector(x) - _vector(x_a))
+    rel, _, _ = _geometry(_vector(x)[None, :], x_a)
+    kernel = transverse_delta_real_exact(k_m, rel[0])
     return kernel @ dv
 
 
@@ -197,7 +205,7 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
     """
     dv = _vector(d)
     _require("|d|", math.hypot(*dv), "dipole moment")
-    r, n = _geometry((_vector(x) - _vector(x_a))[None, :])
+    _, r, n = _geometry(_vector(x)[None, :], x_a)
     nd = _dot3(n, dv)
     return (-(3.0 * nd[:, None] * n - dv) / (4.0 * math.pi * r**3)[:, None])[0]
 
@@ -235,7 +243,7 @@ def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndar
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     dv = _vector(d)
     _require("|d|", math.hypot(*dv), "dipole moment")
-    r, n = _geometry(np.asarray(points, dtype=float) - _vector(x_a))
+    _, r, n = _geometry(points, x_a)
     nd = _dot3(n, dv)
     s = mu * r
     complement = _envelope_complement(s)

@@ -177,6 +177,13 @@ class TestDickeScan:
         assert out == ""
         assert "points" in err
 
+    @pytest.mark.parametrize("grid", ["0:1e-13:1e-14", "0:1e-12:1e-13"])
+    def test_grid_collapsed_by_rounding_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, ["dicke-scan", "--N", "2", "--F", grid, "--resonant", "--format", "csv"])
+        assert code == 2
+        assert out == ""
+        assert "repeat" in err
+
     def test_failed_row_printed_and_exits_1(self, capsys):
         # N = 30000 exceeds the Hamiltonian dimension cap at the first truncation
         code, out, err = run_cli(capsys, ["dicke-scan", "--N", "30000", "--F", "0.5", "--resonant"])

@@ -427,6 +427,14 @@ class TestOverlapEnergy:
         with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m, got 1000000000000.0"):
             residual_overlap_energy(config, (0, 2), MU)
 
+    @pytest.mark.filterwarnings("error")
+    def test_pair_past_the_float_range_rejected_without_warning(self):
+        # the pair's difference overflows to inf; the length domain refuses it and numpy must not warn first
+        positions = [[-1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0]]
+        config = AtomConfiguration(positions=positions, dipoles=np.zeros((3, 3)), volume=1.0)
+        with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m, got inf"):
+            residual_overlap_energy(config, (0, 1), MU)
+
     def test_cutoff_above_limit_rejected(self):
         # kM^3 overflows above about 5.6e102 /m; up to the limit every cube stays finite
         config = pair_config(3e-10, [0, 0, D0], [0, 0, D0])

@@ -389,6 +389,20 @@ class TestPolarizationFields:
             with pytest.raises(ValueError, match="^\\|d\\| must be 0 or from 1e-100 to 1 C\\*m"):
                 call()
 
+    @pytest.mark.filterwarnings("error")
+    def test_offsets_past_the_float_range_rejected_without_warning(self):
+        # x - x_a, or its square, overflows to inf; the length domain refuses it and numpy must not warn first
+        d = np.array([0.0, 0.0, 1e-30])
+        low, high = np.array([-1.7e308, 0.0, 0.0]), np.array([1.7e308, 0.0, 0.0])
+        for call in (
+            lambda: transverse_polarization(d, low, MU, high),
+            lambda: longitudinal_dipole_polarization(d, low, high),
+            lambda: total_residual_polarization(d, low, MU, high),
+            lambda: total_residual_polarization_many(d, high, MU, np.array([[0.0, 1e-9, 0.0], low])),
+        ):
+            with pytest.raises(ValueError, match="^separation must be from 1e-30 to 1e\\+10 m, got inf"):
+                call()
+
     def test_fields_finite_at_limit(self):
         for k_m in np.logspace(math.log10(LOWEST_CUTOFF), math.log10(HIGHEST_CUTOFF), 40):
             for r in (SHORTEST, LONGEST):
