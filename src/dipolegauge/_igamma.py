@@ -1,13 +1,12 @@
 """Regularized incomplete gamma functions P(3, x) and Q(3, x), standard library only.
 
-A transcription of Cephes ``igam``/``igamc`` (Moshier; with the DLMF
-8.11.4 series, the DLMF 8.9.2 continued fraction and the Lanczos prefactor
-of Boost, as scipy.special ships them) for the single order a = 3 that the
-kernel envelope needs.  At a = 3 the asymptotic branches (a > 20) and the
-Q series (x <= 1.1 and a at most -0.4/log(x) or 1.1 x) are never taken, so
-only the P series, the Q continued fraction and the prefactor remain.
-Constants and operation order follow the C source, so the results equal
-scipy.special.gammainc(3, x) and gammaincc(3, x) bit for bit.
+Q(3, x) is the finite sum exp(-x) (1 + x + x^2/2) (DLMF 8.4), and P(3, x)
+is 1 - Q above x = 3.  On [0, 3], where 1 - Q cancels, P transcribes Cephes
+``igam`` (Moshier; the DLMF 8.11.4 series with the Lanczos prefactor of
+Boost, as scipy.special ships it) for the single order a = 3 that the kernel
+envelope needs; x > 3 is Cephes' own split, and its a > 20 asymptotic branch
+is never taken.  Constants and operation order follow the C source, so on
+[0, 3] P equals scipy.special.gammainc(3, x) bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ _A = 3.0
 _MAXITER = 2000
 _MACHEP = 1.11022302462515654042e-16
 _MAXLOG = 7.09782712893383996843e2
-_BIG = 4.503599627370496e15
-_BIGINV = 2.22044604925031308085e-16
+_EXP_ZERO = 1075.0 * math.log(2.0)  # exp(-x) rounds to 0 from here on: e^-x <= 2^-1075
 _LGAM_A = math.log(2.0)  # Cephes lgam(3): the recurrence ends on u == 2 and returns log(z)
 _LANCZOS_G = 6.024680040776729583740234375
 _LANCZOS_NUM = (
@@ -65,7 +63,7 @@ def igam_fac(x: float) -> float:
         if ax < -_MAXLOG:
             return 0.0
         return math.exp(ax)
-    # here x < 200, so the direct form of the Lanczos prefactor applies
+    # here x <= 3, so the direct form of the Lanczos prefactor applies
     return _LANCZOS_PREFACTOR * (math.exp(_A - x) * math.pow(x / _FAC, _A))
 
 
@@ -84,61 +82,29 @@ def igam_series(x: float) -> float:
     return ans * ax / _A
 
 
-def igamc_continued_fraction(x: float) -> float:
-    """Q(3, x) from the continued fraction DLMF 8.9.2."""
-    ax = igam_fac(x)
-    if ax == 0.0:
-        return 0.0
-    y = 1.0 - _A
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAXITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
-        if abs(pk) > _BIG:
-            pkm2 *= _BIGINV
-            pkm1 *= _BIGINV
-            qkm2 *= _BIGINV
-            qkm1 *= _BIGINV
-        if t <= _MACHEP:
-            break
-    return ans * ax
-
-
 def gammainc3(x: float) -> float:
     """Regularized lower incomplete gamma P(3, x) for x >= 0, inf included.
 
-    Callers refuse NaN first: on NaN the series would run all _MAXITER terms.
+    The Cephes series on [0, 3]; above, 1 - gammaincc3(x), which is within
+    2 eps of the exact P(3, x).  Callers refuse NaN first: on NaN the
+    series would run all _MAXITER terms.
     """
     if x == 0.0:
         return 0.0
-    if x == math.inf:
-        return 1.0
-    if x > 1.0 and x > _A:
-        return 1.0 - igamc_continued_fraction(x)
+    if x > _A:
+        return 1.0 - gammaincc3(x)
     return igam_series(x)
 
 
 def gammaincc3(x: float) -> float:
-    """Regularized upper incomplete gamma Q(3, x) for x >= 0, inf included."""
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
+    """Regularized upper incomplete gamma Q(3, x) = exp(-x) (1 + x + x^2/2) for x >= 0, inf included.
+
+    Its terms are all positive, so for a float x it is within
+    4 eps Q + (1 + x + x^2/2) 2^-1074 of the exact Q(3, x): the relative
+    term while exp(-x) is a normal float, the absolute one once it is
+    subnormal or 0.  Past _EXP_ZERO the result is 0 without evaluating
+    x^2, which overflows above about 1.3e154 (and 0 * inf is NaN).
+    """
+    if x > _EXP_ZERO:
         return 0.0
-    if x > 1.1 and not x < _A:
-        return igamc_continued_fraction(x)
-    return 1.0 - igam_series(x)
+    return math.exp(-x) * (1.0 + x + x * x / 2.0)

@@ -237,7 +237,9 @@ def residual_overlap_energy(
     envelope polynomial 2x^3 + 4x^2 + 8x + 8, so every term is at most
     the envelope bound and the rounding error is a small multiple of
     machine epsilon times it: error_estimate = (16 + x) eps * bound, the x
-    carrying the rounding of x itself through exp(-x).
+    carrying the rounding of x itself through exp(-x).  Like any such
+    bound it assumes no underflow: exp(-x) (x up to about 708), the
+    prefactor kM^3 e^(-x)/(8 pi x^3 eps0) and the energy are normal floats.
 
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself

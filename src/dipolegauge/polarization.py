@@ -9,11 +9,12 @@ piece) and a double gradient:
     K(x) = envelope(r) (3 n n - id) / (4 pi r^3)
            + kM^2 exp(-kM r) (id + n n) / (8 pi r)
 
-with envelope(r) = 1 - (1 + kM r + (kM r)^2/2) exp(-kM r), n = x/r.  The
-first term is the static dipole-field shape switched on over distances
-~1/kM; the second carries the 1/r trace singularity and decays
-exponentially.  Contracted with a dipole moment these give the transverse,
-longitudinal and residual polarization fields of a point dipole.
+with envelope(r) = 1 - (1 + kM r + (kM r)^2/2) exp(-kM r) = P(3, kM r) and
+n = x/r (_igamma: Cephes' series up to kM r = 3, where this form cancels,
+this form above).  The first term is the static dipole-field shape switched
+on over distances ~1/kM; the second carries the 1/r trace singularity and
+decays exponentially.  Contracted with a dipole moment these give the
+transverse, longitudinal and residual polarization fields of a point dipole.
 
 The real-space kernel at one point is the standard-library closed form
 _kernel_terms; numpy is imported only inside the functions that build
@@ -60,11 +61,11 @@ def suppression_factor(k_m, k: float) -> float:
 def radial_envelope(k_m, r: float) -> float:
     """Radial switch-on factor of the far-zone kernel, in [0, 1).
 
-    Closed form 1 - (1 + kM r + (kM r)^2/2) exp(-kM r); evaluated as the
-    regularized lower incomplete gamma P(3, kM r) (the standard-library
-    port of Cephes in _igamma), which is stable for small arguments where
-    the closed form cancels catastrophically.  Grows like (kM r)^3/6 for
-    kM r << 1 and tends to 1 from below.
+    The regularized lower incomplete gamma P(3, kM r) from _igamma: the
+    Cephes series bit for bit up to kM r = 3, where the closed form
+    1 - (1 + kM r + (kM r)^2/2) exp(-kM r) cancels, and that exact closed
+    form above, within 2 eps.  Grows like (kM r)^3/6 for kM r << 1 and
+    tends to 1 from below.
     """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     r = _require("r", r, "radius")
@@ -211,7 +212,7 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
 
 
 def _envelope_complement(s: np.ndarray) -> np.ndarray:
-    """1 - envelope = Q(3, s) = exp(-s) (1 + s + s^2/2) at each s = kM r, in that exact closed form.
+    """1 - envelope = Q(3, s) = exp(-s) (1 + s + s^2/2) at each s = kM r: _igamma.gammaincc3 in numpy.
 
     Its terms are all positive, so for a float s it is within
     4 eps Q + (1 + s + s^2/2) 2^-1074 of the exact Q(3, s): the relative

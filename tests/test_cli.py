@@ -11,6 +11,7 @@ import pytest
 from dipolegauge import polarization
 from dipolegauge.cli import main
 from dipolegauge.polarization import radial_envelope
+from conftest import ACCEPTED_ON_A_ROUNDING
 
 # criterion 11 runs the benchmark's own command list against its golden stdout
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -109,6 +110,12 @@ class TestCutoffWindow:
         assert err.splitlines() == [
             "dipolegauge: invalid input: tol must be from 1e-12 to 1, got 1e-15"
         ]
+
+    @pytest.mark.parametrize("tol", ACCEPTED_ON_A_ROUNDING)
+    def test_accepted_quadrature_exits_0(self, capsys, tol):
+        code, out, err = run_cli(capsys, ["cutoff-window", "--kM-inv-bohr", "0.5", "--species", "H", "--tol", repr(tol)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["numeric_shift_J"] > 0.0
 
 
 class TestCriticalDensity:

@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import pytest
 from scipy import integrate
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, ELEMENTARY_CHARGE, HARTREE, RYDBERG
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, ELEMENTARY_CHARGE, HARTREE, RYDBERG, QuadratureError
 from dipolegauge.cutoff_window import (
     cutoff_window,
     hydrogen_first_order_shift,
@@ -13,6 +14,7 @@ from dipolegauge.cutoff_window import (
     rydberg_shift_ratio,
     transverse_self_energy,
 )
+from conftest import ACCEPTED_ON_A_ROUNDING
 
 
 def kspace_self_energy_oracle(d: float, mu: float) -> float:
@@ -83,6 +85,20 @@ class TestHydrogenShift:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="^tol must be from 1e-12 to 1, got nan"):
             hydrogen_shift_numeric(1e10, tol=math.nan)
+
+    @pytest.mark.parametrize("tol", ACCEPTED_ON_A_ROUNDING)
+    def test_accepted_quadrature_is_not_refused(self, tol):
+        report = perturbation_report(0.5 / BOHR_RADIUS, tol=tol)
+        assert report.numeric_shift == pytest.approx(report.first_order_shift, rel=1e-10)
+
+    def test_quadrature_failure_raises(self, monkeypatch):
+        def roundoff(f, epsrel):
+            return 0.75, 1e-3, 135, 2
+
+        # the package's own cutoff_window attribute is the function of that name
+        monkeypatch.setattr(importlib.import_module("dipolegauge.cutoff_window"), "qagi", roundoff)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            hydrogen_shift_numeric(0.5 / BOHR_RADIUS, tol=1e-9)
 
 
 class TestShiftRatio:

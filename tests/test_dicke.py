@@ -150,6 +150,19 @@ class TestGroundState:
         residual = np.linalg.norm(h @ vec - energy * vec)
         assert residual <= 1e-10 * np.max(np.abs(h).sum(axis=1))
 
+    @pytest.mark.parametrize("n_atoms", [8, 16])
+    @pytest.mark.parametrize("fom", [1.1, 1.15, 1.2])
+    def test_crossing_rows_against_dense_diagonalization(self, n_atoms, fom):
+        # where the photon fraction crosses criterion 07's threshold 0.05, the
+        # accepted truncation's energy and fraction are those of dense eigh
+        report = dicke._converged_ground(params(n_atoms=n_atoms, fom=fom))
+        p = params(n_atoms=n_atoms, fom=fom, n_max=report.converged_n_max)
+        energies, vectors = np.linalg.eigh(build_hamiltonian(p).toarray())
+        psi = vectors[:, 0].reshape(p.n_max + 1, n_atoms + 1)
+        fraction = float(np.arange(p.n_max + 1) @ (psi**2).sum(axis=1)) / n_atoms
+        assert report.energy == pytest.approx(energies[0], rel=0.0, abs=1e-12)
+        assert report.photon_fraction == pytest.approx(fraction, rel=0.0, abs=1e-12)
+
     def test_deterministic(self):
         p = params(n_atoms=8, fom=1.3, n_max=24)
         h = build_hamiltonian(p)

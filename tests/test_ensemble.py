@@ -28,6 +28,7 @@ from overlap_quadrature import adaptive_gk21, quadrature_overlap_energy
 MU = 0.5 / BOHR_RADIUS
 D0 = CONSTANTS.e_charge * BOHR_RADIUS
 SUBNORMAL = math.ulp(0.0)  # spacing of the floats that underflow
+NORMAL = np.finfo(float).tiny  # the smallest normal float
 
 # Directions and coordinates on a 0.01 grid (positions in units of 1/kM); the
 # positions are lattice-like, and some pairs fall inside 2/kM.  Dipole
@@ -51,6 +52,24 @@ def pair_config(separation, d_a, d_b, direction=(0.0, 0.0, 1.0)):
         dipoles=np.array([d_a, d_b]),
         volume=1e-27,
     )
+
+
+def exact_overlap_energy(mpmath, config, k_m):
+    """d_A.T(r).d_B/eps0 for atoms 0 and 1 in mpmath, from the same float positions, dipoles, kM and eps0.
+
+    Returns (prefactor kM^3 e^(-x)/(8 pi x^3 eps0), energy) at the working precision.
+    """
+    a, b = ([mpmath.mpf(v) for v in row] for row in config.positions[:2].tolist())
+    d_a, d_b = ([mpmath.mpf(v) for v in row] for row in config.dipoles[:2].tolist())
+    rel = [q - p for p, q in zip(a, b)]
+    r = mpmath.sqrt(mpmath.fsum(c * c for c in rel))
+    n = [c / r for c in rel]
+    mu = mpmath.mpf(k_m)
+    x = mu * r
+    prefactor = mu**3 * mpmath.exp(-x) / (8 * mpmath.pi * x**3 * mpmath.mpf(CONSTANTS.eps0))
+    isotropic = (x**3 + x**2 + 2 * x + 2) * mpmath.fdot(d_a, d_b)
+    axial = (x**3 + 3 * x**2 + 6 * x + 6) * mpmath.fdot(n, d_a) * mpmath.fdot(n, d_b)
+    return prefactor, prefactor * (isotropic - axial)
 
 
 def assert_matches_brute_force(positions, k_m=MU):
@@ -403,6 +422,29 @@ class TestOverlapEnergy:
         )
         assert rotated.bound == pytest.approx(report.bound, rel=1e-12, abs=SUBNORMAL)
         assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound + SUBNORMAL)
+
+    @given(
+        dipole_vectors,
+        dipole_vectors,
+        directions,
+        st.tuples(coordinates, coordinates, coordinates),
+        st.floats(min_value=-6.0, max_value=math.log10(700.0)),
+        st.floats(min_value=-30.0, max_value=10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rounding_within_error_estimate(self, d_a, d_b, direction, offset, log_x, log_separation):
+        """|energy - exact| <= error_estimate, in the absence of underflow, which the bound assumes."""
+        mpmath = pytest.importorskip("mpmath")
+        separation = 10.0**log_separation
+        k_m = 10.0**log_x / separation  # from 1e-16 to 1e33 /m, inside the wavenumber domain
+        start = np.asarray(offset) * separation
+        end = start + separation * np.asarray(direction) / np.linalg.norm(direction)
+        config = AtomConfiguration(positions=np.array([start, end]), dipoles=np.array([d_a, d_b]), volume=1.0)
+        report = residual_overlap_energy(config, (0, 1), k_m)
+        with mpmath.workdps(50):
+            prefactor, exact = exact_overlap_energy(mpmath, config, k_m)
+            assume(prefactor >= NORMAL and abs(exact) >= NORMAL)
+            assert abs(mpmath.mpf(report.overlap_energy) - exact) <= report.error_estimate
 
     @pytest.mark.parametrize("separation", [1e-120, 1e-112])
     def test_scaled_separation_below_limit_rejected(self, separation):

@@ -1,11 +1,15 @@
-"""The a = 3 incomplete gamma port against scipy.special, its oracle.
+"""P(3, x) and Q(3, x) against their oracles: scipy.special on [0, 3], mpmath above.
 
-The port transcribes Cephes igam/igamc as scipy ships them, so P(3, x) and
-Q(3, x) must equal gammainc(3, x) and gammaincc(3, x) bit for bit: over a
-dense log grid, at the branch edges and their neighbouring floats, at 0,
-subnormals, the MAXLOG underflow edge and +inf, and over hypothesis draws.
-The residual field's closed-form complement exp(-s)(1 + s + s^2/2) is
-held to its stated bound against mpmath at 50 digits.
+On [0, 3] P(3, x) transcribes Cephes igam as scipy ships it, so it must
+equal gammainc(3, x) bit for bit: over a dense log grid, at the branch
+edges and their neighbouring floats, at 0 and subnormals, and over
+hypothesis draws.  Above 3, P is 1 - Q and Q(3, x) is the exact closed form
+exp(-x)(1 + x + x^2/2); both are held to their stated bounds against mpmath
+at 50 digits, over a grid through the exp underflow edge and over
+hypothesis draws up to the largest float; Q also below 3, beside the
+residual field's numpy complement, which states the same bound.  P is
+finite and in [0, 1] everywhere and does not decrease where the two
+branches meet at 3.
 """
 
 import math
@@ -17,13 +21,12 @@ from hypothesis import given, settings, strategies as st
 from dipolegauge._igamma import gammainc3, gammaincc3
 from dipolegauge.polarization import _envelope_complement, radial_envelope
 
-special = pytest.importorskip("scipy.special")
-
 EPS = np.finfo(float).eps
 TINY = math.ldexp(1.0, -1074)
-# x > 1 and x > 3 picks the P/Q dispatch, x > 1.1 the Q one; |3 - x| > 1.2
-# (x < 1.8 or x > 4.2) picks the logarithmic prefactor; sqrt(6) is a golden point
-EDGES = (1.0, 1.1, 1.8, 3.0, 4.2, math.sqrt(6.0))
+FLOAT_MAX = np.finfo(float).max
+# |3 - x| > 1.2 (x < 1.8) picks the logarithmic prefactor; x > 3 picks 1 - Q;
+# 1.0 and 1.1 are edges of Cephes' own P/Q dispatch; sqrt(6) is a golden point
+EDGES = (1.0, 1.1, 1.8, 3.0, math.sqrt(6.0))
 
 
 def with_neighbours(xs) -> np.ndarray:
@@ -31,50 +34,98 @@ def with_neighbours(xs) -> np.ndarray:
     return np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
 
 
-def assert_bitwise(xs):
+def assert_series_bitwise(xs):
+    """P(3, x) equals scipy.special.gammainc(3, x) bit for bit at every x <= 3 of xs."""
+    special = pytest.importorskip("scipy.special")
     xs = np.asarray(xs, dtype=float)
-    lower = np.array([gammainc3(x) for x in xs.tolist()])
-    upper = np.array([gammaincc3(x) for x in xs.tolist()])
-    for name, port, oracle in (("P", lower, special.gammainc(3.0, xs)), ("Q", upper, special.gammaincc(3.0, xs))):
-        differ = port.view(np.int64) != oracle.view(np.int64)
-        assert not differ.any(), f"{name}(3, x) differs at x = {xs[differ][:5].tolist()}"
+    xs = xs[xs <= 3.0]
+    port = np.array([gammainc3(x) for x in xs.tolist()])
+    differ = port.view(np.int64) != special.gammainc(3.0, xs).view(np.int64)
+    assert not differ.any(), f"P(3, x) differs at x = {xs[differ][:5].tolist()}"
+
+
+def assert_within_bounds(xs):
+    """|P - exact| <= 2 eps and |Q - exact| <= 4 eps Q + (1 + x + x^2/2) 2^-1074 at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in xs:
+            q = mpmath.gammainc(3, x, mpmath.inf, regularized=True)
+            assert abs(mpmath.mpf(gammainc3(x)) - (1 - q)) <= 2.0 * EPS, x
+            bound = 4.0 * EPS * q + (1 + mpmath.mpf(x) + mpmath.mpf(x) ** 2 / 2) * TINY
+            assert abs(mpmath.mpf(gammaincc3(x)) - q) <= bound, x
 
 
 def test_log_grid_matches_scipy_bitwise():
-    assert_bitwise(np.geomspace(1e-8, 800.0, 40_001))
+    assert_series_bitwise(np.geomspace(1e-8, 800.0, 40_001))
 
 
 def test_branch_edges_match_scipy_bitwise():
-    assert_bitwise(with_neighbours(EDGES + tuple(np.linspace(0.5, 5.0, 901))))
+    assert_series_bitwise(with_neighbours(EDGES + tuple(np.linspace(0.5, 5.0, 901))))
 
 
-def test_underflow_edge_matches_scipy_bitwise():
-    """Past 3 log x - x - log 2 < -MAXLOG (x about 729) the prefactor is 0, and so is Q."""
-    xs = with_neighbours(np.linspace(700.0, 750.0, 2001))
-    assert_bitwise(xs)
-    assert gammaincc3(730.0) == 0.0 and gammainc3(730.0) == 1.0 and gammaincc3(728.0) > 0.0
-
-
-def test_zero_subnormal_huge_and_inf_match_scipy_bitwise():
-    xs = [0.0, TINY, 2.0 * TINY, 1e-310, np.finfo(float).tiny, 1e-300, 1e-100, 1e300, np.finfo(float).max, math.inf]
-    assert_bitwise(xs)
-    assert (gammainc3(0.0), gammaincc3(0.0)) == (0.0, 1.0)
-    assert (gammainc3(math.inf), gammaincc3(math.inf)) == (1.0, 0.0)
+def test_zero_and_subnormals_match_scipy_bitwise():
+    assert_series_bitwise([0.0, TINY, 2.0 * TINY, 1e-310, np.finfo(float).tiny, 1e-300, 1e-100])
+    assert gammainc3(0.0) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@given(st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=True))
 def test_hypothesis_draws_match_scipy_bitwise(x):
-    assert_bitwise([x])
+    assert_series_bitwise([x])
+
+
+def test_grid_above_three_within_bounds():
+    rng = np.random.default_rng(318)
+    xs = np.concatenate(
+        [
+            np.geomspace(3.0, 800.0, 2001)[1:],
+            rng.uniform(3.0, 4.2, 200),
+            with_neighbours([3.0, 4.2, 708.0, 745.0, 745.1332191019412]),
+            rng.uniform(690.0, 760.0, 200),
+        ]
+    )
+    assert_within_bounds(xs[xs > 3.0].tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=3.0, max_value=FLOAT_MAX, exclude_min=True))
+def test_hypothesis_draws_above_three_within_bounds(x):
+    assert_within_bounds([x])
+
+
+def test_underflow_edge_and_beyond():
+    """Past the point where exp(-x) rounds to 0, Q is 0 and P is 1, up to inf; x^2 is never formed."""
+    assert gammaincc3(745.0) > 0.0 and gammaincc3(746.0) == 0.0
+    for x in (746.0, 1e154, 1e200, FLOAT_MAX, math.inf):
+        assert (gammainc3(x), gammaincc3(x)) == (1.0, 0.0)
+    assert gammaincc3(0.0) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True))
+def test_lower_is_a_probability(x):
+    """Finite and in [0, 1] for every x in [0, float max] and at inf."""
+    p = gammainc3(x)
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
+
+
+def test_lower_non_decreasing_across_the_branch_point():
+    floats = [math.nextafter(3.0, 0.0), 3.0]
+    for _ in range(2000):
+        floats.append(math.nextafter(floats[-1], math.inf))
+    for xs in (floats, np.linspace(3.0, 40.0, 200_001).tolist()):
+        assert np.all(np.diff([gammainc3(x) for x in xs]) >= 0.0)
 
 
 def test_envelope_is_the_port():
     assert radial_envelope(1.0, math.sqrt(6.0)) == gammainc3(math.sqrt(6.0))
-    assert radial_envelope(1e10, 1e-9) == float(special.gammainc(3.0, 1e10 * 1e-9))
+    s = 1e10 * 1e-9
+    assert s > 3.0
+    assert radial_envelope(1e10, 1e-9) == 1.0 - math.exp(-s) * (1.0 + s + s * s / 2.0)
 
 
 def test_closed_form_complement_within_stated_bound():
-    """|Q - exact| <= 4 eps Q + (1 + s + s^2/2) 2^-1074, the bound _envelope_complement states."""
+    """|Q - exact| <= 4 eps Q + (1 + s + s^2/2) 2^-1074, the bound gammaincc3 and _envelope_complement state."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(703)
     s = np.concatenate(
@@ -84,9 +135,9 @@ def test_closed_form_complement_within_stated_bound():
             [0.0, 1e-300, 1.0, 3.0, 708.0, 708.4, 745.0, 745.2],
         ]
     )
-    q = _envelope_complement(s)
     with mpmath.workdps(50):
-        for si, qi in zip(s.tolist(), q.tolist()):
+        for si, numpy_q in zip(s.tolist(), _envelope_complement(s).tolist()):
             exact = mpmath.gammainc(3, si, mpmath.inf, regularized=True)
             bound = 4.0 * EPS * exact + mpmath.mpf(1.0 + si + si * si / 2.0) * TINY
-            assert abs(mpmath.mpf(qi) - exact) <= bound, si
+            for q in (numpy_q, gammaincc3(si)):
+                assert abs(mpmath.mpf(q) - exact) <= bound, si

@@ -30,7 +30,7 @@ SCIPY = HEAVY[1:]
 # is a standard-library QUADPACK port, ensemble-check's spacing checks run on
 # a numpy cell list and --rwa scans on numpy's dense solver.  polarization
 # needs no numpy either: the kernel at one point is a standard-library closed
-# form, its envelope a standard-library port of Cephes' incomplete gamma.
+# form, its envelope the standard-library incomplete gamma of _igamma.
 NOT_LOADED = {
     "import dipolegauge": HEAVY,
     "import dipolegauge.dicke": SCIPY,
