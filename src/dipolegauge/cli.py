@@ -32,10 +32,6 @@ SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 10_000
 
 
-class CliError(Exception):
-    """Input validation failure (exit code 2)."""
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -84,19 +80,19 @@ def _registry(args) -> dict[str, AtomSpecies]:
 def _species(args, registry) -> AtomSpecies:
     name = args.species
     if name not in registry:
-        raise CliError(f"unknown species {name!r}; registry has {sorted(registry)}")
+        raise ValueError(f"unknown species {name!r}; registry has {sorted(registry)}")
     return registry[name]
 
 
 def _cutoff_from_args(args) -> float:
     if args.kM is not None and args.kM_inv_bohr is not None:
-        raise CliError("give either --kM or --kM-inv-bohr, not both")
+        raise ValueError("give either --kM or --kM-inv-bohr, not both")
     if args.kM is not None:
         value = args.kM
     elif args.kM_inv_bohr is not None:
         value = args.kM_inv_bohr / BOHR_RADIUS
     else:
-        raise CliError("a cutoff wavenumber is required (--kM or --kM-inv-bohr)")
+        raise ValueError("a cutoff wavenumber is required (--kM or --kM-inv-bohr)")
     return _require("cutoff wavenumber", value, "wavenumber")
 
 
@@ -119,20 +115,20 @@ def _parse_grid(text: str) -> list[float]:
     if len(numbers) == 1:
         return numbers
     if len(numbers) != 3:
-        raise CliError(f"invalid grid {text!r}; expected VALUE or START:STOP:STEP")
+        raise ValueError(f"invalid grid {text!r}; expected VALUE or START:STOP:STEP")
     start, stop, step = numbers
     if step <= 0.0 or stop < start:
-        raise CliError(f"invalid grid {text!r}; need step > 0 and stop >= start")
+        raise ValueError(f"invalid grid {text!r}; need step > 0 and stop >= start")
     steps = (stop - start) / step
     if not steps <= MAX_GRID_POINTS - 1:  # before the list is built; inf when the span overflows
-        raise CliError(f"invalid grid {text!r}; more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"invalid grid {text!r}; more than {MAX_GRID_POINTS} points")
     count = int(round(steps))
     # rounding keeps grid values like 0.1*3 from printing as 0.30000000000000004
     values = [round(start + i * step, 12) for i in range(count + 1)]
     if values[-1] > stop + 1e-9 * step:
         values.pop()
     if len(set(values)) < len(values):
-        raise CliError(f"invalid grid {text!r}; values repeat after rounding to 12 decimals")
+        raise ValueError(f"invalid grid {text!r}; values repeat after rounding to 12 decimals")
     return values
 
 
@@ -149,7 +145,7 @@ def cmd_cutoff_window(args) -> int:
     elif args.k_radiation is not None:
         k_radiation = args.k_radiation
     else:
-        raise CliError("a radiation wavenumber is required (--species or --k-radiation)")
+        raise ValueError("a radiation wavenumber is required (--species or --k-radiation)")
     window = cutoff_window(k_radiation, k_m, args.lower_threshold, args.upper_threshold)
     perturbation = perturbation_report(k_m, tol=args.tol)
     payload = {
@@ -206,7 +202,7 @@ def cmd_dicke_scan(args) -> int:
         omega = omega_a = args.omega if args.omega is not None else 1.0
     else:
         if args.omega is None or args.omega_A is None:
-            raise CliError("give --resonant, or both --omega and --omega-A")
+            raise ValueError("give --resonant, or both --omega and --omega-A")
         omega, omega_a = args.omega, args.omega_A
     template = DickeParams(n_atoms=args.N, omega=omega, omega_a=omega_a, g_collective=0.0, rwa=args.rwa)
     rows = scan_coupling(template, grid, max_workers=args.jobs)
@@ -231,7 +227,7 @@ def cmd_polarization(args) -> int:
     columns: list[str] = ["k_M_per_m"]
     if args.envelope:
         if args.r is None:
-            raise CliError("--envelope needs --r")
+            raise ValueError("--envelope needs --r")
         payload["r_m"] = args.r
         payload["envelope"] = radial_envelope(k_m, args.r)
         columns += ["r_m", "envelope"]
@@ -245,14 +241,14 @@ def cmd_polarization(args) -> int:
         except ValueError:
             x = []
         if len(x) != 3:
-            raise CliError(f"invalid kernel point {args.kernel!r}; expected X,Y,Z")
+            raise ValueError(f"invalid kernel point {args.kernel!r}; expected X,Y,Z")
         far, near = _kernel_terms(k_m, x)
         payload["x_m"] = x
         keys = [f"kernel_{a}{b}_per_m3" for a in "xyz" for b in "xyz"]  # row-major, as the terms
         payload.update(zip(keys, (f + g for f, g in zip(far, near))))
         columns += keys
     if len(columns) == 1:
-        raise CliError("nothing to compute; give --envelope, --suppression or --kernel")
+        raise ValueError("nothing to compute; give --envelope, --suppression or --kernel")
     _emit(args, payload, csv_columns=columns, csv_rows=[[payload[c] for c in columns]])
     return 0
 
@@ -372,9 +368,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"dipolegauge: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"dipolegauge: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -30,8 +30,8 @@ each row's limits keep these normal:
     crystalline density  the same                the critical density divided by it
     mass                 1e-40 .. 1e10 kg        (no formula uses it)
     quality              1e-60 .. 1e80           8 pi^2 Q/(3 lambda^3); holds omega_A/gamma
-    tolerance            1e-12 .. 1              above the overlap's rounding bound
-                                                 (16 + 745) eps and QUADPACK's 50 eps
+    tolerance            1e-12 .. 1              above the overlap's relative rounding
+                                                 bound (16 + 745) eps and QUADPACK's 50 eps
     threshold            1e-30 .. 1e30           (only compared)
     figure of merit      1e-40 .. 1e40, or 0     F^2, F omega omega_A
     atom number          1 .. 1e80               N g^2

@@ -172,10 +172,8 @@ def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
 
 
 def species_critical_density(species: AtomSpecies) -> float:
-    try:
-        return critical_density(species.lambda_a, species.quality)
-    except ValueError as exc:
-        raise ValueError(f"{species.name}: {exc}") from None
+    """critical_density of the species' transition; AtomSpecies keeps lambda_A and Q inside their domains."""
+    return critical_density(species.lambda_a, species.quality)
 
 
 def crystalline_comparison(species: AtomSpecies) -> float:

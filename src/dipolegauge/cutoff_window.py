@@ -8,7 +8,8 @@ ground state gives the upper-limit arithmetic in closed form, backed here
 by an independent radial quadrature: a standard-library transcription of
 the path QUADPACK's QAGI takes on that integrand (``_quadpack``), which the
 tests hold bit for bit to ``scipy.integrate.quad`` over the tolerance
-domain, so this module loads neither numpy nor scipy.
+domain, so this module loads neither numpy nor scipy.  Rounding bounds are
+relative to the exact value for the float inputs and constants.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def transverse_self_energy(d: float, k_m) -> float:
 
     kM^3 d^2 / (24 pi eps0); equals the k-space integral
     (1/2 eps0) int d^3k |P_transverse|^2 (angular factor 8 pi/3, radial
-    int k^2 L^2 dk = pi kM^3/4).
+    int k^2 L^2 dk = pi kM^3/4).  Within 4 eps: five roundings and pi's
+    at eps/2 each, kM^3 at one ulp.
     """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     d = _require("d", d, "dipole moment")
@@ -63,7 +65,8 @@ def hydrogen_first_order_shift(k_m) -> float:
     """First-order 1s energy shift e^2 kM^3 a0^2 / (8 pi eps0) in J.
 
     The perturbing potential is (e^2 kM^3 / (24 pi eps0)) r^2, whose 1s
-    expectation uses <r^2> = 3 a0^2.
+    expectation uses <r^2> = 3 a0^2.  Within 6 eps: five roundings and
+    pi's at eps/2 each, three powers at one ulp each.
     """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     c = CONSTANTS
@@ -101,13 +104,13 @@ def hydrogen_shift_numeric(k_m, tol: float = 1e-9) -> float:
 
 
 def rydberg_shift_ratio(k_m) -> float:
-    """Shift-to-binding-energy ratio (kM * a0)^3."""
+    """Shift-to-binding-energy ratio (kM * a0)^3, within 3 eps: the cube triples eps/2 and adds an ulp."""
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     return (mu * CONSTANTS.a0) ** 3
 
 
 def intimacy_radius(k_m) -> float:
-    """Radius 1/kM of the region where the independent-dipole picture fails."""
+    """Radius 1/kM of the region where the independent-dipole picture fails, within eps/2."""
     return 1.0 / _require("cutoff wavenumber", k_m, "wavenumber")
 
 
@@ -117,12 +120,12 @@ def cutoff_window(
     lower_threshold: float = DEFAULT_LOWER_THRESHOLD,
     upper_threshold: float = DEFAULT_UPPER_THRESHOLD,
 ) -> CutoffWindow:
-    """Evaluate both window metrics and the combined admissibility verdict."""
+    """Both window metrics and the combined admissibility verdict; lower_violation is within 3 eps."""
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     k_radiation = _require("radiation wavenumber", k_radiation, "wavenumber")
     lower_threshold = _require("lower_threshold", lower_threshold, "threshold")
     upper_threshold = _require("upper_threshold", upper_threshold, "threshold")
-    # complement of the filter value, written to stay exact for k << kM
+    # the filter's complement, exact for k << kM: k^2 at an ulp, kM*kM, the sum and the quotient at eps/2
     lower_violation = k_radiation**2 / (k_radiation**2 + mu * mu)
     upper_ratio = rydberg_shift_ratio(mu)
     return CutoffWindow(

@@ -234,18 +234,21 @@ def residual_overlap_energy(
         T = kM^3 e^(-x)/(8 pi x^3) [(x^3 + x^2 + 2x + 2) id - (x^3 + 3x^2 + 6x + 6) n n],
 
     x = kM r and n the unit pair axis.  The two polynomials sum to the
-    envelope polynomial 2x^3 + 4x^2 + 8x + 8, so every term is at most
+    envelope polynomial p = 2x^3 + 4x^2 + 8x + 8, so every term is at most
     the envelope bound and the rounding error is a small multiple of
-    machine epsilon times it: error_estimate = (16 + x) eps * bound, the x
-    carrying the rounding of x itself through exp(-x).  Like any such
-    bound it assumes no underflow: exp(-x) (x up to about 708), the
-    prefactor kM^3 e^(-x)/(8 pi x^3 eps0) and the energy are normal floats.
+    machine epsilon times it, (16 + x) eps * bound, the x carrying the
+    rounding of x itself through exp(-x).  exp(-x) (subnormal past x = 708,
+    0 past 745), kM^3 e^(-x), the prefactor and the energy may also round
+    below the normal floats, each by at most 2^-1074 times what multiplies
+    it afterwards; so error_estimate adds, doubled for the relative
+    roundings on top, 2^-1073 (1 + |dA| |dB| p (1 + (1 + kM^3)/(8 pi x^3
+    eps0))), which keeps the relative term's bits unless x > 677 or
+    bound < 1e-290 J.
 
     tol is the accuracy required relative to the envelope bound, which
     keeps the target meaningful when orientations make the overlap itself
-    nearly zero.  Every report meets it: the tolerance domain starts above
-    the largest rounding bound, (16 + 745) eps, since past x = 745 exp(-x)
-    and with it the bound are 0.
+    nearly zero; the tolerance domain starts above the largest relative
+    rounding bound, (16 + 745) eps.
     """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     _require("tol", tol, "tolerance")
@@ -265,14 +268,19 @@ def residual_overlap_energy(
     x = mu * separation
     n = np.array((dx, dy, dz)) / separation
 
-    prefactor = mu**3 * math.exp(-x) / (8.0 * math.pi * x**3 * CONSTANTS.eps0)
+    denominator = 8.0 * math.pi * x**3 * CONSTANTS.eps0
+    prefactor = mu**3 * math.exp(-x) / denominator
     isotropic = (x**3 + x**2 + 2.0 * x + 2.0) * float(d_a @ d_b)
     axial = (x**3 + 3.0 * x**2 + 6.0 * x + 6.0) * float(n @ d_a) * float(n @ d_b)
-    bound = overlap_envelope_bound(math.hypot(*d_a), math.hypot(*d_b), mu, separation)
+    m_a, m_b = math.hypot(*d_a), math.hypot(*d_b)
+    bound = overlap_envelope_bound(m_a, m_b, mu, separation)
+    # the docstring's absolute term, finite in the domains: kM^3/x^3 = r^-3 <= 1e90, 1/x^3 <= 1e150
+    envelope = m_a * m_b * (2.0 * x**3 + 4.0 * x**2 + 8.0 * x + 8.0)
+    underflow = 2.0**-1073 * (1.0 + envelope * (1.0 + (1.0 + mu**3) / denominator))
     return OverlapReport(
         pair=(i, j),
         separation=separation,
         overlap_energy=prefactor * (isotropic - axial),
         bound=bound,
-        error_estimate=(16.0 + x) * np.finfo(float).eps * bound,
+        error_estimate=(16.0 + x) * np.finfo(float).eps * bound + underflow,
     )

@@ -386,6 +386,33 @@ class TestEnsembleCheck:
         assert "invalid input" in err
 
 
+# every usage refusal a subcommand raises, with the message after "invalid input: "
+USAGE_REFUSALS = [
+    (["cutoff-window", "--kM-inv-bohr", "0.5", "--species", "Xx"], "unknown species 'Xx'; registry has "),
+    (["cutoff-window", "--kM", "1e10", "--kM-inv-bohr", "0.5", "--species", "H"], "give either --kM or --kM-inv-bohr, not both"),
+    (["cutoff-window", "--species", "H"], "a cutoff wavenumber is required (--kM or --kM-inv-bohr)"),
+    (["cutoff-window", "--kM", "1e10"], "a radiation wavenumber is required (--species or --k-radiation)"),
+    (["dicke-scan", "--N", "4", "--F", "1:2", "--resonant"], "invalid grid '1:2'; expected VALUE or START:STOP:STEP"),
+    (["dicke-scan", "--N", "4", "--F", "2:1:0.1", "--resonant"], "invalid grid '2:1:0.1'; need step > 0 and stop >= start"),
+    (["dicke-scan", "--N", "4", "--F", "0:1e6:1", "--resonant"], "invalid grid '0:1e6:1'; more than 10000 points"),
+    (
+        ["dicke-scan", "--N", "4", "--F", "0:1e-12:1e-13", "--resonant"],
+        "invalid grid '0:1e-12:1e-13'; values repeat after rounding to 12 decimals",
+    ),
+    (["dicke-scan", "--N", "4", "--F", "1", "--omega", "1"], "give --resonant, or both --omega and --omega-A"),
+    (["polarization", "--kM", "1e10", "--envelope"], "--envelope needs --r"),
+    (["polarization", "--kM", "1e10", "--kernel", "1,2"], "invalid kernel point '1,2'; expected X,Y,Z"),
+    (["polarization", "--kM", "1e10"], "nothing to compute; give --envelope, --suppression or --kernel"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_REFUSALS)
+def test_usage_refusal_is_one_invalid_input_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", [name for name, _ in cli_commands(CONFIG_NAME)])
     def test_criterion_11_matches_golden_bytes(self, capsys, atoms_file, name):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, wavelength_to_omega
+from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, wavelength_to_omega
 from dipolegauge.coupling import (
     AtomSpecies,
     METHOD_COUPLING,
@@ -186,6 +187,17 @@ class TestCrystallineComparison:
     def test_missing_data(self, registry):
         with pytest.raises(ValueError, match="crystalline"):
             crystalline_comparison(registry["H"])
+
+    @pytest.mark.parametrize(
+        "lambda_a, gamma_hwhm, crystalline_density",
+        itertools.product(*(DOMAINS[row][:2] for row in ("length", "frequency", "crystalline density"))),
+    )
+    def test_domain_corners_stay_finite(self, lambda_a, gamma_hwhm, crystalline_density):
+        # both results are monotone in each input, so the corners of the rows bound them:
+        # finite and positive, the density from 4.96e-80 to 4.96e160 /m^3
+        species = AtomSpecies("X", lambda_a, gamma_hwhm, 1e-25, crystalline_density)
+        density, ratio = species_critical_density(species), crystalline_comparison(species)
+        assert 4.9e-80 < density < 5e160 and 4.9e-140 < ratio < 5e190
 
 
 class TestFormEquivalence:

@@ -2,6 +2,7 @@ import importlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from dipolegauge.constants import BOHR_RADIUS, CONSTANTS, DOMAINS, ELEMENTARY_CHARGE, HARTREE, RYDBERG, QuadratureError
@@ -188,3 +189,28 @@ class TestPerturbationReport:
         )
         # reference dipole e*a0 carries a third of the 1s expectation value
         assert report.delta_u == pytest.approx(report.first_order_shift / 3.0, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-20.0, max_value=90.0),
+    st.floats(min_value=-20.0, max_value=90.0),
+    st.floats(min_value=-100.0, max_value=0.0),
+)
+def test_scalar_formulas_within_stated_bounds(log_k_m, log_k_radiation, log_d):
+    """Each docstring's relative bound against mpmath at 50 digits, log-uniform over the whole domains."""
+    mpmath = pytest.importorskip("mpmath")
+    k_m, k, d = 10.0**log_k_m, 10.0**log_k_radiation, 10.0**log_d
+    eps = 2.0**-52
+    with mpmath.workdps(50):
+        mu, kr, dm = mpmath.mpf(k_m), mpmath.mpf(k), mpmath.mpf(d)
+        e, a0, eps0 = (mpmath.mpf(v) for v in (CONSTANTS.e_charge, CONSTANTS.a0, CONSTANTS.eps0))
+        cases = [
+            (transverse_self_energy(d, k_m), mu**3 * dm**2 / (24 * mpmath.pi * eps0), 4.0),
+            (hydrogen_first_order_shift(k_m), e**2 * mu**3 * a0**2 / (8 * mpmath.pi * eps0), 6.0),
+            (rydberg_shift_ratio(k_m), (mu * a0) ** 3, 3.0),
+            (intimacy_radius(k_m), 1 / mu, 0.5),
+            (cutoff_window(k, k_m).lower_violation, kr**2 / (kr**2 + mu**2), 3.0),
+        ]
+        for value, exact, bound in cases:
+            assert abs(mpmath.mpf(value) - exact) <= bound * eps * exact, (value, bound)

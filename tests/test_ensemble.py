@@ -423,28 +423,59 @@ class TestOverlapEnergy:
         assert rotated.bound == pytest.approx(report.bound, rel=1e-12, abs=SUBNORMAL)
         assert rotated.overlap_energy == pytest.approx(report.overlap_energy, abs=1e-12 * report.bound + SUBNORMAL)
 
+    @staticmethod
+    def assert_rounding_within_error_estimate(d_a, d_b, direction, offset, x, separation):
+        """|energy - exact| <= error_estimate against d_A.T(r).d_B/eps0 in mpmath; returns (energy, exact)."""
+        mpmath = pytest.importorskip("mpmath")
+        k_m = x / separation  # from 1e-16 to 1e33 /m for the draws below, inside the wavenumber domain
+        start = np.asarray(offset) * separation
+        end = start + separation * np.asarray(direction) / np.linalg.norm(direction)
+        config = AtomConfiguration(positions=np.array([start, end]), dipoles=np.array([d_a, d_b]), volume=1.0)
+        report = residual_overlap_energy(config, (0, 1), k_m)
+        with mpmath.workdps(50):
+            _, exact = exact_overlap_energy(mpmath, config, k_m)
+            assert abs(mpmath.mpf(report.overlap_energy) - exact) <= report.error_estimate
+        return report.overlap_energy, exact
+
     @given(
         dipole_vectors,
         dipole_vectors,
         directions,
         st.tuples(coordinates, coordinates, coordinates),
         st.floats(min_value=-6.0, max_value=math.log10(700.0)),
-        st.floats(min_value=-30.0, max_value=10.0),
+        st.floats(min_value=-29.99, max_value=10.0),  # a pair at 1e-30 m can round below the length floor
     )
     @settings(max_examples=200, deadline=None)
     def test_rounding_within_error_estimate(self, d_a, d_b, direction, offset, log_x, log_separation):
-        """|energy - exact| <= error_estimate, in the absence of underflow, which the bound assumes."""
-        mpmath = pytest.importorskip("mpmath")
-        separation = 10.0**log_separation
-        k_m = 10.0**log_x / separation  # from 1e-16 to 1e33 /m, inside the wavenumber domain
-        start = np.asarray(offset) * separation
-        end = start + separation * np.asarray(direction) / np.linalg.norm(direction)
-        config = AtomConfiguration(positions=np.array([start, end]), dipoles=np.array([d_a, d_b]), volume=1.0)
-        report = residual_overlap_energy(config, (0, 1), k_m)
-        with mpmath.workdps(50):
-            prefactor, exact = exact_overlap_energy(mpmath, config, k_m)
-            assume(prefactor >= NORMAL and abs(exact) >= NORMAL)
-            assert abs(mpmath.mpf(report.overlap_energy) - exact) <= report.error_estimate
+        self.assert_rounding_within_error_estimate(d_a, d_b, direction, offset, 10.0**log_x, 10.0**log_separation)
+
+    @given(
+        dipole_vectors,
+        dipole_vectors,
+        directions,
+        st.tuples(coordinates, coordinates, coordinates),
+        st.floats(min_value=700.0, max_value=800.0),
+        st.floats(min_value=-29.99, max_value=10.0),  # a pair at 1e-30 m can round below the length floor
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rounding_within_error_estimate_through_underflow(self, d_a, d_b, direction, offset, x, log_separation):
+        """exp(-x) subnormal from x = 708 and 0 from 745: energies subnormal or rounded to 0 stay covered."""
+        self.assert_rounding_within_error_estimate(d_a, d_b, direction, offset, x, 10.0**log_separation)
+
+    @pytest.mark.parametrize(
+        "x, separation, dipole, kind",
+        [
+            (744.95, 744.95 / 9.0e28, D0, "normal"),  # a subnormal exp(-x) scaled up by kM^3
+            (712.0, 1e-12, 1e-30, "subnormal"),
+            (750.0, 1e-9, D0, "zero"),  # exp(-x) is 0
+            (702.0, 1e-9, 1e-60, "zero"),  # exp(-x) is normal, the energy is not
+        ],
+    )
+    def test_underflowing_energies_within_error_estimate(self, x, separation, dipole, kind):
+        d_a, d_b = [0.0, 0.6 * dipole, 0.8 * dipole], [dipole, 0.0, 0.0]
+        energy, exact = self.assert_rounding_within_error_estimate(d_a, d_b, (1.0, 1.0, 0.0), (0.0, 0.0, 0.0), x, separation)
+        assert exact != 0
+        assert kind == ("zero" if energy == 0.0 else "subnormal" if abs(energy) < NORMAL else "normal")
 
     @pytest.mark.parametrize("separation", [1e-120, 1e-112])
     def test_scaled_separation_below_limit_rejected(self, separation):

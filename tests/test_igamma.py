@@ -9,7 +9,8 @@ at 50 digits, over a grid through the exp underflow edge and over
 hypothesis draws up to the largest float; Q also below 3, beside the
 residual field's numpy complement, which states the same bound.  P is
 finite and in [0, 1] everywhere and does not decrease where the two
-branches meet at 3.
+branches meet at 3.  The port's two folded a = 3 constants are checked
+against what they stand for, in mpmath.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dipolegauge._igamma import gammainc3, gammaincc3
+from dipolegauge._igamma import _FAC, _LANCZOS_PREFACTOR, gammainc3, gammaincc3
 from dipolegauge.polarization import _envelope_complement, radial_envelope
 
 EPS = np.finfo(float).eps
@@ -53,6 +54,16 @@ def assert_within_bounds(xs):
             assert abs(mpmath.mpf(gammainc3(x)) - (1 - q)) <= 2.0 * EPS, x
             bound = 4.0 * EPS * q + (1 + mpmath.mpf(x) + mpmath.mpf(x) ** 2 / 2) * TINY
             assert abs(mpmath.mpf(gammaincc3(x)) - q) <= bound, x
+
+
+def test_folded_constants_provenance():
+    """fac = 3 + g - 1/2 for Boost's Lanczos g, and the prefactor approximates fac^3 e^-3 / Gamma(3)."""
+    mpmath = pytest.importorskip("mpmath")
+    assert _FAC == 3.0 + 6.024680040776729583740234375 - 0.5
+    with mpmath.workdps(50):
+        fac = mpmath.mpf(_FAC)
+        exact = fac**3 * mpmath.exp(-3) / mpmath.gamma(3)
+        assert abs(mpmath.mpf(_LANCZOS_PREFACTOR) - exact) <= 2.0 * EPS * exact
 
 
 def test_log_grid_matches_scipy_bitwise():
