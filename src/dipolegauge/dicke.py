@@ -20,15 +20,21 @@ diagonal in this basis, so the returned state is supported on one block.
   change the last bits of every row.
 - rwa: the excitation number k = a'a + S_z + N/2, which refines parity
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
-  tridiagonal.  Every block k = 0 ... n_max + N is built from index
-  arithmetic with the same float operations as build_hamiltonian; the
-  blocks are padded to a common size and stacked, at most _BATCH_FLOATS
-  entries to a stack, and each stack goes to one np.linalg.eigvalsh.  The
-  eigenvector comes from np.linalg.eigh of the one block chosen.  Blocks
-  whose lowest energy lies within NEAR_DEGENERACY_FACTOR times the
-  max-row-sum norm of the lowest are tied; the tie goes to the largest k,
-  the state a scan enters as the coupling grows, and marks the solve
-  near-degenerate.
+  tridiagonal, built from index arithmetic with the same float operations
+  as build_hamiltonian.  One pass over the basis states gives each block's
+  Gershgorin lower bound, the least diagonal entry minus the |couplings|
+  of its row.  Blocks are solved in ascending order of bound, padded to a
+  common size and stacked, at most _BATCH_FLOATS entries to a stack, one
+  np.linalg.eigvalsh a stack; once a bound exceeds the lowest energy
+  found by more than the tie window plus a stated rounding allowance, the
+  remaining blocks are skipped, since none of them can be the lowest or
+  tie with it.  The eigenvector comes from np.linalg.eigh of the one
+  block chosen.  Blocks whose lowest energy lies within
+  NEAR_DEGENERACY_FACTOR times the max-row-sum norm of the lowest are
+  tied; the tie goes to the largest k, the state a scan enters as the
+  coupling grows, and marks the solve near-degenerate.  A block's
+  energies do not depend on its stack, so skipping changes no reported
+  bit against solving every block.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians and
 ground_state, so importing this module and rwa scans load numpy alone.
@@ -333,52 +339,126 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
-def _excitation_batch(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, float]:
-    """Excitation blocks ks of the number-conserving Hamiltonian, padded and stacked.
+def _block_entries(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sizes of excitation blocks ks, and the diagonal, coupling and radius of their states.
 
     Block k holds the states n = max(0, k - N) ... min(k, n_max), j = k - n,
-    in ascending basis order.  batch[c] holds block ks[c] in its top-left
-    corner, equal to build_hamiltonian(p)[idx][:, idx] for the block's basis
-    indices idx, and on the rest of its diagonal the largest Gershgorin bound
-    of the batch, which no eigenvalue of any of its blocks exceeds.  Also
-    returns the largest row sum of |entries| over the blocks.
+    in ascending basis order; the per-state arrays list the blocks one after
+    another.  coupling[i] joins state i to i + 1, (n + 1, j - 1), through
+    ladder[n] spin[j - 1], and is 0 at the last state of a block, so the
+    Gershgorin radius |coupling[i - 1]| + |coupling[i]| stays in the block.
+    Values repeat build_hamiltonian's float operations.
     """
     m, ladder, spin, scale = _matrix_elements(p)
     first = np.maximum(ks - p.n_atoms, 0)
-    sizes = np.minimum(ks, p.n_max) - first + 1
-    t = np.arange(sizes.max())
-    inside = t < sizes[:, None]
-    n = np.where(inside, first[:, None] + t, 0)
-    j = np.where(inside, ks[:, None] - n, 0)
-    diagonal = np.where(inside, p.omega * n + p.omega_a * m[j], 0.0)
-    # state t couples to t + 1, (n + 1, j - 1), through ladder[n] spin[j - 1]
-    pair = inside[:, 1:]
-    pair_n, pair_j = np.where(pair, n[:, :-1], 0), np.where(pair, j[:, :-1] - 1, 0)
-    coupling = np.where(pair, scale * (ladder[pair_n] * spin[pair_j]), 0.0)
-    radius = np.zeros(diagonal.shape)
-    radius[:, :-1] += np.abs(coupling)
-    radius[:, 1:] += np.abs(coupling)
-    batch = np.zeros((ks.size, t.size, t.size))
-    batch[:, t, t] = np.where(inside, diagonal, (diagonal + radius)[inside].max())
-    batch[:, t[:-1], t[1:]] = coupling
-    batch[:, t[1:], t[:-1]] = coupling
+    last = np.minimum(ks, p.n_max)
+    sizes = last - first + 1
+    n = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+    j = np.repeat(ks, sizes) - n
+    diagonal = p.omega * n + p.omega_a * m[j]
+    pair = n < np.repeat(last, sizes)
+    coupling = np.zeros(n.size)
+    coupling[pair] = scale * (ladder[n[pair]] * spin[j[pair] - 1])
+    radius = np.abs(coupling)
+    radius[1:] += np.abs(coupling[:-1])
+    return sizes, diagonal, coupling, radius
+
+
+def _excitation_batch(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Excitation blocks ks of the number-conserving Hamiltonian, padded and stacked.
+
+    batch[c] holds block ks[c] (see _block_entries) in its top-left corner,
+    equal to build_hamiltonian(p)[idx][:, idx] for the block's basis indices
+    idx, and on the rest of its diagonal the largest Gershgorin upper bound
+    of the batch, which no eigenvalue of any of its blocks exceeds.  Also
+    returns the largest row sum of |entries| over the blocks.
+    """
+    sizes, diagonal, coupling, radius = _block_entries(p, ks)
+    block = np.repeat(np.arange(ks.size), sizes)
+    t = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # place in its block
+    size = int(sizes.max())
+    batch = np.zeros((ks.size, size, size))
+    batch[:, np.arange(size), np.arange(size)] = (diagonal + radius).max()
+    batch[block, t, t] = diagonal
+    pair = t < size - 1  # the last state of a block has no coupling, so none is lost
+    block, t = block[pair], t[pair]
+    batch[block, t, t + 1] = batch[block, t + 1, t] = coupling[pair]
     return batch, float((np.abs(diagonal) + radius).max())
 
 
+def _excitation_bounds(p: DickeParams) -> tuple[np.ndarray, float, float]:
+    """Gershgorin lower bound of each excitation block, the tie window and the skip allowance.
+
+    bounds[k] is the least, over the states of block k, of the diagonal
+    entry minus the |couplings| of its row; no eigenvalue of the block lies
+    below it (Golub & Van Loan, Matrix Computations, section 7.2).  The
+    window is NEAR_DEGENERACY_FACTOR times norm, the max-row-sum norm of the
+    whole matrix, which is the largest row sum over the blocks.
+
+    The allowance, (L + 2) eps norm for blocks of at most L states (eps =
+    2u = 2^-52), bounds to first order in u the roundings that separate a
+    computed bound from the computed lowest energy of its block, and those
+    of the skip test best + window + allowance:
+    - the bound d - (|c| + |c'|) rounds twice, by at most 2u times its row
+      sum: eps norm;
+    - np.linalg.eigvalsh (LAPACK dsyevd: its Householder stage applies no
+      reflection to a tridiagonal block, then dsterf's QL/QR) returns the
+      eigenvalues of the block T plus some E, ||E||_2 <= p(L) u ||T||_2,
+      with p a modestly growing function of the order (LAPACK Users'
+      Guide, 3rd ed., section 4.7, whose own estimates take p = 1); with
+      p(L) = 2L and ||T||_2 <= norm this is L eps norm;
+    - the skip test rounds twice, by at most 2u (|best| + window +
+      allowance), and no energy exceeds norm in size: eps norm.
+    So a block whose bound exceeds the computed threshold has a computed
+    lowest energy of at least best + window.
+
+    The bound pass holds a few arrays of one entry per basis state, freed
+    on return.
+    """
+    sizes, diagonal, _, radius = _block_entries(p, np.arange(p.n_max + p.n_atoms + 1))
+    bounds = np.minimum.reduceat(diagonal - radius, np.cumsum(sizes) - sizes)
+    norm = float((np.abs(diagonal) + radius).max())
+    allowance = (int(sizes.max()) + 2) * np.finfo(float).eps * norm
+    return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
+
+
 def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
-    """ground_state_sectored under rwa: lowest energy over the excitation blocks."""
+    """ground_state_sectored under rwa: lowest energy over the excitation blocks.
+
+    Solves the blocks in ascending order of their Gershgorin bounds (see
+    _excitation_bounds): the lowest alone, so that an energy is known, then
+    the rest in stacks of at most _BATCH_FLOATS padded entries, one
+    np.linalg.eigvalsh a stack.  A block whose bound exceeds the lowest
+    energy found so far by more than the tie window plus the allowance is
+    skipped, and with it every later one: its lowest energy lies at least
+    a window above the final minimum, so it can neither be the minimum nor
+    tie with it.  eigvalsh splits a padded stack at its zero couplings, so
+    a block's energies do not depend on the stack it is solved in.  The
+    minimum, the tie set and so the chosen k and the flag are those of
+    solving every block, and the reported state comes from
+    np.linalg.eigh of the chosen block alone, bit for bit the same.
+    """
     _require_dimension(p)
-    count = p.n_max + p.n_atoms + 1
+    bounds, window, allowance = _excitation_bounds(p)
+    order = np.argsort(bounds, kind="stable")
     per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
-    lowest, norm = [], 0.0
-    for start in range(0, count, per_batch):
-        batch, batch_norm = _excitation_batch(p, np.arange(start, min(start + per_batch, count)))
+    solved, lowest = [], []
+    best, done, take = math.inf, 0, 1
+    while done < order.size:
+        ks = order[done : done + take]
+        ks = ks[bounds[ks] <= best + window + allowance]  # a prefix: the bounds ascend
+        if ks.size == 0:
+            break
+        batch, _ = _excitation_batch(p, ks)
+        solved.append(ks)
         lowest.append(np.linalg.eigvalsh(batch)[:, 0])
-        norm = max(norm, batch_norm)
         del batch  # else it lives on while the next one is built
-    lowest = np.concatenate(lowest)
-    tied = np.flatnonzero(lowest - lowest.min() < NEAR_DEGENERACY_FACTOR * norm)
-    k = int(tied[-1])
+        best = min(best, float(lowest[-1].min()))
+        done += ks.size
+        take = per_batch
+    solved, lowest = np.concatenate(solved), np.concatenate(lowest)
+    tied = solved[lowest - lowest.min() < window]
+    k = int(tied.max())
     (block,), _ = _excitation_batch(p, np.array([k]))
     values, vectors = np.linalg.eigh(block)
     first = max(0, k - p.n_atoms)
@@ -394,10 +474,14 @@ def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     Dicke coupling: solves each parity sector separately and returns the
     lower one (ties go to even parity), together with a flag marking a
     near-degenerate doublet (sector gap below 1e-8 of the matrix norm
-    scale).  rwa: solves every excitation block k and returns the lowest,
-    ties within the same scale going to the largest k and setting the
-    flag.  The returned vector is supported on a single block, so parity
-    is exact.
+    scale).  rwa: returns the lowest excitation block k, ties within the
+    same scale going to the largest k and setting the flag.  Blocks are
+    solved in ascending order of their Gershgorin lower bounds, and those
+    whose bound exceeds the lowest energy found by more than that scale
+    plus a rounding allowance are skipped: they can be neither the lowest
+    nor tied with it, so every returned bit equals solving all blocks.
+    The returned vector is supported on a single block, so parity is
+    exact.
     """
     if p.rwa:
         return _excitation_ground(p)

@@ -421,6 +421,13 @@ class TestDeterminism:
         assert code == 0
         assert out.encode("utf-8") == (PERFBENCH / "data" / "cli" / f"{name}.stdout").read_bytes()
 
+    def test_rwa_scan_matches_golden_bytes(self, capsys):
+        # no criterion-11 command takes the rwa path; this golden holds its bits
+        argv = ["dicke-scan", "--N", "8", "--F", "0:2.5:0.1", "--resonant", "--rwa", "--format", "csv"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out.encode("utf-8") == (Path(__file__).parent / "data" / "dicke-scan-rwa.stdout").read_bytes()
+
     def test_repeated_runs_byte_identical_in_process(self, capsys, atoms_file):
         argv = ["ensemble-check", "--config", atoms_file, "--kM-inv-bohr", "0.5"]
         _, first, _ = run_cli(capsys, argv)

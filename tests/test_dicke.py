@@ -264,6 +264,35 @@ def excitation_indices(p):
     return [np.flatnonzero(excitation == k) for k in range(p.n_max + p.n_atoms + 1)]
 
 
+def block_lowest(p):
+    """Dense lowest energy of each unpadded excitation block, sliced from the full matrix, k ascending."""
+    h = build_hamiltonian(p)
+    return np.array([np.linalg.eigvalsh(h[idx][:, idx].toarray())[0] for idx in excitation_indices(p)])
+
+
+def all_blocks_ground(p):
+    """The rwa ground state with every block k = 0 ... n_max + N solved, then the tie rule.
+
+    One eigvalsh over the whole padded stack, ties within the window going
+    to the largest k, and eigh of the chosen block alone.
+    """
+    batch, norm = dicke._excitation_batch(p, np.arange(p.n_max + p.n_atoms + 1))
+    lowest = np.linalg.eigvalsh(batch)[:, 0]
+    tied = np.flatnonzero(lowest - lowest.min() < dicke.NEAR_DEGENERACY_FACTOR * norm)
+    k = int(tied[-1])
+    (block,), _ = dicke._excitation_batch(p, np.array([k]))
+    values, vectors = np.linalg.eigh(block)
+    full = np.zeros(p.dimension)
+    full[excitation_indices(p)[k]] = dicke._fix_sign(vectors[:, 0])
+    return float(values[0]), full, tied.size > 1
+
+
+def assert_same_ground(found, expected):
+    assert found[0] == expected[0]
+    assert np.array_equal(found[1], expected[1])
+    assert found[2] == expected[2]
+
+
 class TestExcitationBlocks:
     @given(
         st.integers(min_value=1, max_value=12),
@@ -314,6 +343,9 @@ class TestExcitationBlocks:
     def test_batch_size_changes_nothing(self, monkeypatch, n_atoms, n_max, fom):
         p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
         whole = ground_state_sectored(p)
+        (k_whole,) = np.unique(excitation_diagonal(p)[whole[1] != 0.0])
+        bounds, window, allowance = dicke._excitation_bounds(p)
+        needed = set(np.flatnonzero(bounds <= min(block_lowest(p)) + window + allowance).tolist())
         build, batches = dicke._excitation_batch, []
 
         def recording_build(p, ks):
@@ -329,11 +361,65 @@ class TestExcitationBlocks:
             assert energy == pytest.approx(whole[0], rel=1e-14)
             assert np.array_equal(vec != 0.0, whole[1] != 0.0)
             assert near == whole[2]
-            # every block once, in order, within the budget; then the chosen block alone
             *solved, (chosen, _) = batches
-            assert sum((ks for ks, _ in solved), []) == list(range(n_max + n_atoms + 1))
+            ks = sum((ks for ks, _ in solved), [])
+            assert len(ks) == len(set(ks))  # no block twice
+            assert needed <= set(ks)  # none that could hold the minimum or tie with it skipped
             assert all(size <= max(floats, (min(n_atoms, n_max) + 1) ** 2) for _, size in solved)
-            assert len(chosen) == 1
+            assert chosen == [k_whole]  # the chosen block last, on its own
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=30),
+        foms,
+        st.floats(min_value=0.3, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_for_bit_with_every_block_solved(self, n_atoms, n_max, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(
+            n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
+        )
+        assert_same_ground(ground_state_sectored(p), all_blocks_ground(p))
+
+    @pytest.mark.parametrize("n_max", [8, 16])
+    # F = 1 on resonance: the exact tie of k = 0 and 1; 1e-9 below it, k = 1 lies
+    # above the vacuum by less than the tie window and meets its own bound
+    @pytest.mark.parametrize("fom", [0.0, 1.0, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n_atoms", [8, 16, 32])
+    def test_bit_for_bit_with_every_block_solved_at_fixed_points(self, monkeypatch, n_atoms, fom, n_max):
+        p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
+        expected = all_blocks_ground(p)
+        assert expected[2] == (fom != 0.0)
+        assert_same_ground(ground_state_sectored(p), expected)
+        monkeypatch.setattr(dicke, "_BATCH_FLOATS", 1)  # one block a stack: every skip test sees a new best
+        assert_same_ground(ground_state_sectored(p), expected)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=30),
+        foms,
+        # on resonance every block has one diagonal value, and two-state blocks meet their bound exactly
+        st.just(1.0) | st.floats(min_value=0.3, max_value=3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_below_every_block_and_skips_past_the_window(self, n_atoms, n_max, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(
+            n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
+        )
+        lowest = block_lowest(p)
+        bounds, window, allowance = dicke._excitation_bounds(p)
+        assert np.all(bounds - allowance <= lowest)  # the bound as the skip test takes it
+        build, solved = dicke._excitation_batch, set()
+
+        def recording_build(p, ks):
+            solved.update(ks.tolist())
+            return build(p, ks)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dicke, "_excitation_batch", recording_build)
+            energy, _, _ = ground_state_sectored(p)
+        for k in set(range(len(lowest))) - solved:
+            assert lowest[k] >= energy + window
 
     def test_scan_rows_match_parity_solve(self, monkeypatch):
         grid = [round(0.037 + 0.2 * i, 10) for i in range(13)]  # 0.037 .. 2.437, no exact crossing
