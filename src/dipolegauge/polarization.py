@@ -16,10 +16,10 @@ on over distances ~1/kM; the second carries the 1/r trace singularity and
 decays exponentially.  Contracted with a dipole moment these give the
 transverse, longitudinal and residual polarization fields of a point dipole.
 
-The real-space kernel at one point is the standard-library closed form
-_kernel_terms; numpy is imported only inside the functions that build
-arrays, so importing this module, the envelope and the filter value load
-no numpy.
+The real-space kernel and the three fields at one point are
+standard-library closed forms; numpy is imported only inside the functions
+that build arrays, so importing this module, the envelope and the filter
+value load no numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ._igamma import gammainc3
-from .constants import DOMAINS, _require
+from .constants import _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,6 +78,10 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     (2*pi)^(-3/2) (id - k k / k^2) kM^2/(k^2 + kM^2).  The projector is
     direction-dependent at k = 0, so |k| must lie in the wavenumber domain,
     which also keeps k^2 a normal float.
+
+    Rounding bound: every entry is within 4 eps of the exact filter value
+    (2*pi)^(-3/2) kM^2/(k^2 + kM^2) at the float k and kM, for kM and |k|
+    over the wavenumber domain; the projector's entries are at most 1.
     """
     import numpy as np
 
@@ -88,50 +92,32 @@ def transverse_delta_k(k_m, k_vec) -> np.ndarray:
     return FT_PREFACTOR * mu * mu / (k2 + mu * mu) * (np.eye(3) - np.outer(k, k) / k2)
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.b for each row of an (M, 3) array a, with b (M, 3) or (3,), summed left to right.
+def _separation(x, x_a) -> tuple[float, list[float]]:
+    """r = |x - x_a| and n = (x - x_a)/r for 3-sequences of finite floats, in standard-library floats.
 
-    n @ d goes through BLAS, whose rounding for a row depends on how many
-    rows share the call; this keeps a point's value independent of its
-    batch.  np.sqrt(_dot3(a, a)) equals np.linalg.norm(a, axis=1) bit for
-    bit at a quarter of its cost.
+    r = sqrt of the squares summed left to right.  A difference or a square
+    past the float range is inf, without a warning, and the length domain
+    refuses it like any other r outside it.
     """
-    return a[:, 0] * b[..., 0] + a[:, 1] * b[..., 1] + a[:, 2] * b[..., 2]
+    rel = [p - q for p, q in zip(x, x_a)]
+    r = _require("separation", math.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2]), "length")
+    return r, [v / r for v in rel]
 
 
-def _geometry(points, x_a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Separations rel = points - x_a of (M, 3) points, their norms r and unit vectors n.
-
-    Every r must lie in the length domain.  Points and x_a may be any
-    finite floats, so a difference or its square can pass the float range:
-    it is then inf, without a numpy warning, and the length domain refuses it.
-    """
-    import numpy as np
-
-    low, high, _, _ = DOMAINS["length"]
-    with np.errstate(over="ignore"):
-        rel = np.asarray(points, dtype=float) - _vector(x_a)
-        r = np.sqrt(_dot3(rel, rel))
-    _require("separation", r.min(initial=low), "length")  # NaN propagates through both
-    _require("separation", r.max(initial=high), "length")
-    return rel, r, rel / r[:, None]
-
-
-def _kernel_terms(mu: float, x) -> tuple[list[float], list[float]]:
-    """The two terms of the exact kernel at one separation x, each as 9 floats in row-major order.
+def _kernel_terms(mu: float, x, x_a=(0.0, 0.0, 0.0)) -> tuple[list[float], list[float]]:
+    """The two terms of the exact kernel at one separation x - x_a, each as 9 floats in row-major order.
 
     Returns (far, near) with far = P(3, kM r) (3 n n - id)/(4 pi r^3) and
     near = kM^2 exp(-kM r) (id + n n)/(8 pi r), in standard-library floats:
-    r = sqrt(x.x) summed left to right, r^3 and exp from libm, the envelope
+    r and n from _separation, r^3 and exp from libm, the envelope
     from _igamma.  The envelope multiplies before the division, the
     rounding order the CLI golden output records.  Refuses non-finite
-    components and an r outside the length domain.
+    components of x and an r outside the length domain.
     """
     x0, x1, x2 = (float(v) for v in x)
     if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("vector components must be finite")
-    r = _require("separation", math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), "length")  # inf once x.x overflows
-    n = (x0 / r, x1 / r, x2 / r)
+    r, n = _separation((x0, x1, x2), x_a)
     s = mu * r
     envelope = gammainc3(s)
     far_denominator = 4.0 * math.pi * r**3
@@ -187,13 +173,30 @@ def transverse_delta_real_far(k_m, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transverse_polarization(d, x_a, k_m, x) -> np.ndarray:
-    """Transverse polarization (C/m^2) at x of a dipole d (C*m) at x_a."""
+def _dipole(d) -> list[float]:
+    """d as three floats, refused unless its components are finite and |d| lies in the dipole domain."""
     dv = _vector(d)
     _require("|d|", math.hypot(*dv), "dipole moment")
-    rel, _, _ = _geometry(_vector(x)[None, :], x_a)
-    kernel = transverse_delta_real_exact(k_m, rel[0])
-    return kernel @ dv
+    return dv.tolist()
+
+
+def transverse_polarization(d, x_a, k_m, x) -> np.ndarray:
+    """Transverse polarization (C/m^2) at x of a dipole d (C*m) at x_a.
+
+    The exact kernel at x - x_a contracted with d, K d, in standard-library floats.
+
+    Rounding bound: every component is within 16 eps of |d| times the
+    largest entry of the exact kernel at the float inputs, for kM from
+    1e-20 to 1e90 /m and kM r up to 745: the kernel's 10 eps, the rounding
+    of x - x_a, which the kernel scales by up to r^-3, and the contraction's.
+    """
+    import numpy as np
+
+    d0, d1, d2 = _dipole(d)
+    mu = _require("cutoff wavenumber", k_m, "wavenumber")
+    far, near = _kernel_terms(mu, _vector(x).tolist(), _vector(x_a).tolist())
+    k = [f + g for f, g in zip(far, near)]
+    return np.array([k[a] * d0 + k[a + 1] * d1 + k[a + 2] * d2 for a in (0, 3, 6)])
 
 
 def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
@@ -203,51 +206,45 @@ def longitudinal_dipole_polarization(d, x_a, x) -> np.ndarray:
     The delta-supported core at the dipole position is not part of the
     returned field value; integrals that sample the source point must add
     it back separately (the pair-overlap routine does).
-    """
-    dv = _vector(d)
-    _require("|d|", math.hypot(*dv), "dipole moment")
-    _, r, n = _geometry(_vector(x)[None, :], x_a)
-    nd = _dot3(n, dv)
-    return (-(3.0 * nd[:, None] * n - dv) / (4.0 * math.pi * r**3)[:, None])[0]
 
-
-def _envelope_complement(s: np.ndarray) -> np.ndarray:
-    """1 - envelope = Q(3, s) = exp(-s) (1 + s + s^2/2) at each s = kM r: _igamma.gammaincc3 in numpy.
-
-    Its terms are all positive, so for a float s it is within
-    4 eps Q + (1 + s + s^2/2) 2^-1074 of the exact Q(3, s): the relative
-    term while exp(-s) is a normal float, the absolute one once it is
-    subnormal or 0 (s above about 708).
+    Rounding bound: every component is within 24 eps |d|/(4 pi r^3) of the
+    exact field at the float inputs: 1.5 times the largest error seen in
+    adversarial draws; the roundings of r, n and n.d, each at its worst, give 35.
     """
     import numpy as np
 
-    return np.exp(-s) * (1.0 + s + s * s / 2.0)
+    d = _dipole(d)
+    r, n = _separation(_vector(x).tolist(), _vector(x_a).tolist())
+    nd = n[0] * d[0] + n[1] * d[1] + n[2] * d[2]
+    denominator = 4.0 * math.pi * r**3
+    return np.array([-(3.0 * nd * nv - dv) / denominator for nv, dv in zip(n, d)])
 
 
 def total_residual_polarization(d, x_a, k_m, x) -> np.ndarray:
-    """Sum of transverse and longitudinal polarization (C/m^2) at one point x."""
-    return total_residual_polarization_many(d, x_a, k_m, _vector(x)[None, :])[0]
+    """Sum of transverse and longitudinal polarization (C/m^2) at x of a dipole d (C*m) at x_a.
 
+    The dipole-field parts cancel up to Q(3, s) = exp(-s) (1 + s + s^2/2),
+    s = kM r, and the s^2/2 parts of the two remaining terms fold into the
+    component of d perpendicular to n, so the field is evaluated as
 
-def total_residual_polarization_many(d, x_a, k_m, points: np.ndarray) -> np.ndarray:
-    """Sum of transverse and longitudinal polarization (C/m^2) at (M, 3) points.
+        exp(-s)/(4 pi r^3) [s^2 (d - (n.d) n) - (1 + s)(3 (n.d) n - d)],
 
-    The dipole-field parts cancel up to the envelope complement, so the
-    result is computed in the explicitly exponentially small form
-    -(1-envelope)(3 (n.d) n - d)/(4 pi r^3)
-    + kM^2 exp(-kM r) (d + (n.d) n)/(8 pi r),
-    which avoids subtractive cancellation at kM r >> 1; the complement
-    comes from _envelope_complement.
+    with one exp and no cancellation between exponentially small terms.
+
+    Rounding bound: every component is within (24 + 2.25 s) eps E + U of
+    the exact field at the float inputs, E = |d| exp(-s)(1 + s + s^2)/(4 pi r^3),
+    for kM from 1e-20 to 1e90 /m and s up to 745.  2.25 s: exp(-s) carries s
+    times the rounding of s, at most 2.25 eps from x - x_a, r and kM r.  24:
+    r, n and n.d, as in the longitudinal field (41 at the worst of each).
+    U = 2^-1073 (1 + |d| (1 + s + s^2)(1 + 1/(4 pi r^3))) covers exp(-s),
+    exp(-s)/(4 pi r^3) and the result rounding below the normal floats.
     """
     import numpy as np
 
+    d = _dipole(d)
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
-    dv = _vector(d)
-    _require("|d|", math.hypot(*dv), "dipole moment")
-    _, r, n = _geometry(points, x_a)
-    nd = _dot3(n, dv)
+    r, n = _separation(_vector(x).tolist(), _vector(x_a).tolist())
+    nd = n[0] * d[0] + n[1] * d[1] + n[2] * d[2]
     s = mu * r
-    complement = _envelope_complement(s)
-    dipole_part = -(complement / (4.0 * math.pi * r**3))[:, None] * (3.0 * nd[:, None] * n - dv)
-    near_part = (mu * mu * np.exp(-s) / (8.0 * math.pi * r))[:, None] * (dv + nd[:, None] * n)
-    return dipole_part + near_part
+    scale = math.exp(-s) / (4.0 * math.pi * r**3)
+    return np.array([scale * (s * s * (dv - nd * nv) - (1.0 + s) * (3.0 * nd * nv - dv)) for nv, dv in zip(n, d)])

@@ -2,8 +2,8 @@
 
 dipolegauge.ensemble.residual_overlap_energy evaluates the overlap from
 its closed-form k-space tensor; this module integrates the product of the
-two residual polarization fields directly, so the two share nothing but
-the field definition.
+two residual polarization fields directly, each evaluated here in numpy
+from its definition, so the two share nothing but that definition.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from scipy.special import gammaincc
 
 from dipolegauge.constants import CONSTANTS, QuadratureError, _require
 from dipolegauge.ensemble import AtomConfiguration, OverlapReport, overlap_envelope_bound
-from dipolegauge.polarization import total_residual_polarization_many
 
 # Per-atom field truncation radius for the overlap quadrature, in units of
 # 1/kM beyond half the separation; the discarded region then carries a
@@ -102,19 +101,24 @@ def adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float, limit: in
     return float(values.sum()), float(errors.sum())
 
 
-def _dipole_envelope_field(d: np.ndarray, x_atom: np.ndarray, mu: float, points: np.ndarray) -> np.ndarray:
-    """Dipole-shaped part of the residual field: -(1-envelope)(3 (n.d) n - d)/(4 pi r^3).
+def _field_parts(d: np.ndarray, x_atom: np.ndarray, mu: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residual field of a dipole d at x_atom, at (M, 3) points, as its two parts.
 
-    Its integral over all space vanishes at every radius by angular
-    symmetry, which makes it the natural subtraction for taming the 1/r^3
-    behaviour of the residual field at its own atom.
+    Returns (envelope, near) = (-Q(3, s)(3 (n.d) n - d)/(4 pi r^3),
+    kM^2 exp(-s)(d + (n.d) n)/(8 pi r)), s = kM r, with Q(3, s) from
+    scipy.special.gammaincc: the transverse plus longitudinal field with
+    its dipole-field parts cancelled.  The envelope part integrates to zero
+    over every sphere by angular symmetry, which makes it the natural
+    subtraction for taming the 1/r^3 behaviour of the field at its own atom.
     """
     rel = np.asarray(points, dtype=float) - x_atom
     r = np.linalg.norm(rel, axis=1)
     n = rel / r[:, None]
-    nd = n @ d
-    complement = gammaincc(3.0, mu * r)
-    return -(complement / (4.0 * math.pi * r**3))[:, None] * (3.0 * nd[:, None] * n - d)
+    nd = (n @ d)[:, None]
+    s = mu * r
+    envelope = -(gammaincc(3.0, s) / (4.0 * math.pi * r**3))[:, None] * (3.0 * nd * n - d)
+    near = (mu * mu * np.exp(-s) / (8.0 * math.pi * r))[:, None] * (d + nd * n)
+    return envelope, near
 
 
 def quadrature_overlap_energy(config: AtomConfiguration, pair: tuple[int, int], k_m, tol: float) -> OverlapReport:
@@ -158,8 +162,8 @@ def quadrature_overlap_energy(config: AtomConfiguration, pair: tuple[int, int], 
     )
     target = tol * bound
 
-    p_b_at_a = total_residual_polarization_many(d_b, x_b, mu, x_a[None, :])[0]
-    p_a_at_b = total_residual_polarization_many(d_a, x_a, mu, x_b[None, :])[0]
+    p_b_at_a = sum(_field_parts(d_b, x_b, mu, x_a[None, :]))[0]  # B's field at A
+    p_a_at_b = sum(_field_parts(d_a, x_a, mu, x_b[None, :]))[0]
 
     r_trunc = separation / 2.0 + TRUNCATION_MARGIN / mu
     z_lo = separation - r_trunc
@@ -170,11 +174,11 @@ def quadrature_overlap_energy(config: AtomConfiguration, pair: tuple[int, int], 
     def ring_integrand(z: float, rho: np.ndarray) -> np.ndarray:
         """2 pi rho times the ring average of the subtracted integrand, per radius."""
         points = (x_a + z * axis + rho.reshape(-1, 1, 1) * ring).reshape(-1, 3)
-        p_a = total_residual_polarization_many(d_a, x_a, mu, points)
-        p_b = total_residual_polarization_many(d_b, x_b, mu, points)
-        values = np.sum(p_a * p_b, axis=1)
-        values -= _dipole_envelope_field(d_a, x_a, mu, points) @ p_b_at_a
-        values -= _dipole_envelope_field(d_b, x_b, mu, points) @ p_a_at_b
+        envelope_a, near_a = _field_parts(d_a, x_a, mu, points)
+        envelope_b, near_b = _field_parts(d_b, x_b, mu, points)
+        values = np.sum((envelope_a + near_a) * (envelope_b + near_b), axis=1)
+        values -= envelope_a @ p_b_at_a
+        values -= envelope_b @ p_a_at_b
         return 2.0 * math.pi * rho * values.reshape(*rho.shape, ring.shape[0]).mean(axis=-1)
 
     inner_tol = 0.2 * target * CONSTANTS.eps0 / (z_hi - z_lo)

@@ -6,8 +6,7 @@ edges and their neighbouring floats, at 0 and subnormals, and over
 hypothesis draws.  Above 3, P is 1 - Q and Q(3, x) is the exact closed form
 exp(-x)(1 + x + x^2/2); both are held to their stated bounds against mpmath
 at 50 digits, over a grid through the exp underflow edge and over
-hypothesis draws up to the largest float; Q also below 3, beside the
-residual field's numpy complement, which states the same bound.  P is
+hypothesis draws up to the largest float; Q also below 3.  P is
 finite and in [0, 1] everywhere and does not decrease where the two
 branches meet at 3.  The port's two folded a = 3 constants are checked
 against what they stand for, in mpmath.
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipolegauge._igamma import _FAC, _LANCZOS_PREFACTOR, gammainc3, gammaincc3
-from dipolegauge.polarization import _envelope_complement, radial_envelope
+from dipolegauge.polarization import radial_envelope
 
 EPS = np.finfo(float).eps
 TINY = math.ldexp(1.0, -1074)
@@ -136,7 +135,7 @@ def test_envelope_is_the_port():
 
 
 def test_closed_form_complement_within_stated_bound():
-    """|Q - exact| <= 4 eps Q + (1 + s + s^2/2) 2^-1074, the bound gammaincc3 and _envelope_complement state."""
+    """|Q - exact| <= 4 eps Q + (1 + s + s^2/2) 2^-1074, the bound gammaincc3 states."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(703)
     s = np.concatenate(
@@ -147,8 +146,7 @@ def test_closed_form_complement_within_stated_bound():
         ]
     )
     with mpmath.workdps(50):
-        for si, numpy_q in zip(s.tolist(), _envelope_complement(s).tolist()):
+        for si in s.tolist():
             exact = mpmath.gammainc(3, si, mpmath.inf, regularized=True)
             bound = 4.0 * EPS * exact + mpmath.mpf(1.0 + si + si * si / 2.0) * TINY
-            for q in (numpy_q, gammaincc3(si)):
-                assert abs(mpmath.mpf(q) - exact) <= bound, si
+            assert abs(mpmath.mpf(gammaincc3(si)) - exact) <= bound, si
