@@ -20,21 +20,18 @@ diagonal in this basis, so the returned state is supported on one block.
   change the last bits of every row.
 - rwa: the excitation number k = a'a + S_z + N/2, which refines parity
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
-  tridiagonal, built from index arithmetic with the same float operations
-  as build_hamiltonian.  One pass over the basis states gives each block's
-  Gershgorin lower bound, the least diagonal entry minus the |couplings|
-  of its row.  Blocks are solved in ascending order of bound, padded to a
-  common size and stacked, at most _BATCH_FLOATS entries to a stack, one
-  np.linalg.eigvalsh a stack; once a bound exceeds the lowest energy
-  found by more than the tie window plus a stated rounding allowance, the
-  remaining blocks are skipped, since none of them can be the lowest or
-  tie with it.  The eigenvector comes from np.linalg.eigh of the one
-  block chosen.  Blocks whose lowest energy lies within
-  NEAR_DEGENERACY_FACTOR times the max-row-sum norm of the lowest are
-  tied; the tie goes to the largest k, the state a scan enters as the
-  coupling grows, and marks the solve near-degenerate.  A block's
-  energies do not depend on its stack, so skipping changes no reported
-  bit against solving every block.
+  tridiagonal: its rows of _row_entries, gathered once per solve into
+  per-state diagonal, coupling and Gershgorin radius arrays that every
+  stack and the chosen block slice.  Blocks are solved in ascending order
+  of their Gershgorin lower bounds, padded to a common size and stacked,
+  at most _BATCH_FLOATS entries to a stack, one np.linalg.eigvalsh a
+  stack; once a bound exceeds the lowest energy found by more than the
+  tie window plus a stated rounding allowance, the remaining blocks are
+  skipped.  The eigenvector comes from np.linalg.eigh of the one block
+  chosen.  Blocks whose lowest energy lies within NEAR_DEGENERACY_FACTOR
+  times the max-row-sum norm of the lowest are tied; the tie goes to the
+  largest k, the state a scan enters as the coupling grows, and marks the
+  solve near-degenerate.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians and
 ground_state, so importing this module and rwa scans load numpy alone.
@@ -64,9 +61,9 @@ FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
-# Entries of one padded batch of excitation blocks (32 MiB of float64): at
-# the dimension cap, N = n_max = 499, all 999 blocks padded to 500 states
-# would take 2 GB.
+# Entries of one padded batch of excitation blocks, and of each dense spin
+# matrix observables builds (32 MiB of float64): at the dimension cap,
+# N = n_max = 499, all 999 blocks padded to 500 states would take 2 GB.
 _BATCH_FLOATS = 1 << 22
 
 
@@ -83,7 +80,7 @@ class FockTruncationError(RuntimeError):
 
 
 class DimensionError(ValueError):
-    """Requested matrix exceeds DEFAULT_DIMENSION_CAP."""
+    """Requested matrix exceeds DEFAULT_DIMENSION_CAP, or a dense spin matrix _BATCH_FLOATS entries."""
 
 
 def _require_count(name: str, value) -> int:
@@ -100,6 +97,12 @@ def _require_count(name: str, value) -> int:
 def _require_dimension(p: "DickeParams") -> None:
     if p.dimension > DEFAULT_DIMENSION_CAP:
         raise DimensionError(f"dimension {p.dimension} exceeds cap {DEFAULT_DIMENSION_CAP}")
+
+
+def _require_spin_matrices(p: "DickeParams") -> None:
+    """observables builds three dense (N+1) x (N+1) spin matrices: at most _BATCH_FLOATS entries each."""
+    if (p.n_atoms + 1) ** 2 > _BATCH_FLOATS:
+        raise DimensionError(f"spin matrix size {(p.n_atoms + 1) ** 2} exceeds cap {_BATCH_FLOATS}")
 
 
 @dataclass(frozen=True)
@@ -339,54 +342,58 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
-def _block_entries(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sizes of excitation blocks ks, and the diagonal, coupling and radius of their states.
+def _excitation_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block offsets, and the basis row, diagonal, coupling and radius of every state, block by block.
 
-    Block k holds the states n = max(0, k - N) ... min(k, n_max), j = k - n,
-    in ascending basis order; the per-state arrays list the blocks one after
-    another.  coupling[i] joins state i to i + 1, (n + 1, j - 1), through
-    ladder[n] spin[j - 1], and is 0 at the last state of a block, so the
-    Gershgorin radius |coupling[i - 1]| + |coupling[i]| stays in the block.
-    Values repeat build_hamiltonian's float operations.
+    Excitation block k = 0 ... n_max + N holds the states n = max(0, k - N)
+    ... min(k, n_max), j = k - n, in ascending basis order: the rows
+    n (N+1) + k - n of _row_entries, gathered once, states offsets[k] to
+    offsets[k + 1] of the per-state arrays.  The diagonal is the step (0, 0)
+    entry and coupling[i], which joins state i to i + 1, (n + 1, j - 1), the
+    step (1, -1) one, absent entries 0; so the coupling is 0 at the last
+    state of a block, and the Gershgorin radius |coupling[i - 1]| +
+    |coupling[i]| stays in the block.
     """
-    m, ladder, spin, scale = _matrix_elements(p)
+    _, values, present = _row_entries(p)
+    ks = np.arange(p.n_max + p.n_atoms + 1)
     first = np.maximum(ks - p.n_atoms, 0)
-    last = np.minimum(ks, p.n_max)
-    sizes = last - first + 1
-    n = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-    j = np.repeat(ks, sizes) - n
-    diagonal = p.omega * n + p.omega_a * m[j]
-    pair = n < np.repeat(last, sizes)
-    coupling = np.zeros(n.size)
-    coupling[pair] = scale * (ladder[n[pair]] * spin[j[pair] - 1])
+    sizes = np.minimum(ks, p.n_max) - first + 1
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    n = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+    rows = n * p.n_atoms + np.repeat(ks, sizes)  # n (N + 1) + k - n
+    # steps (0, 0) and (1, -1) of _STEPS_RWA, a column at a time: one 2-D gather took 8 times as long
+    diagonal, coupling = (np.where(present[:, step], values[:, step], 0.0)[rows] for step in (1, 2))
     radius = np.abs(coupling)
     radius[1:] += np.abs(coupling[:-1])
-    return sizes, diagonal, coupling, radius
+    return offsets, rows, diagonal, coupling, radius
 
 
-def _excitation_batch(p: DickeParams, ks: np.ndarray) -> tuple[np.ndarray, float]:
+def _excitation_batch(entries: tuple, ks: np.ndarray) -> np.ndarray:
     """Excitation blocks ks of the number-conserving Hamiltonian, padded and stacked.
 
-    batch[c] holds block ks[c] (see _block_entries) in its top-left corner,
-    equal to build_hamiltonian(p)[idx][:, idx] for the block's basis indices
-    idx, and on the rest of its diagonal the largest Gershgorin upper bound
-    of the batch, which no eigenvalue of any of its blocks exceeds.  Also
-    returns the largest row sum of |entries| over the blocks.
+    batch[c] holds block ks[c] of entries (see _excitation_entries) in its
+    top-left corner, equal to build_hamiltonian(p)[idx][:, idx] for the
+    block's basis indices idx, and on the rest of its diagonal the largest
+    Gershgorin upper bound of the batch, which no eigenvalue of any of its
+    blocks exceeds.
     """
-    sizes, diagonal, coupling, radius = _block_entries(p, ks)
+    offsets, _, diagonal, coupling, radius = entries
+    sizes = offsets[ks + 1] - offsets[ks]
     block = np.repeat(np.arange(ks.size), sizes)
     t = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # place in its block
+    state = np.repeat(offsets[ks], sizes) + t
+    diagonal, coupling = diagonal[state], coupling[state]
     size = int(sizes.max())
     batch = np.zeros((ks.size, size, size))
-    batch[:, np.arange(size), np.arange(size)] = (diagonal + radius).max()
+    batch[:, np.arange(size), np.arange(size)] = (diagonal + radius[state]).max()
     batch[block, t, t] = diagonal
     pair = t < size - 1  # the last state of a block has no coupling, so none is lost
     block, t = block[pair], t[pair]
     batch[block, t, t + 1] = batch[block, t + 1, t] = coupling[pair]
-    return batch, float((np.abs(diagonal) + radius).max())
+    return batch
 
 
-def _excitation_bounds(p: DickeParams) -> tuple[np.ndarray, float, float]:
+def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
     """Gershgorin lower bound of each excitation block, the tie window and the skip allowance.
 
     bounds[k] is the least, over the states of block k, of the diagonal
@@ -411,35 +418,28 @@ def _excitation_bounds(p: DickeParams) -> tuple[np.ndarray, float, float]:
       allowance), and no energy exceeds norm in size: eps norm.
     So a block whose bound exceeds the computed threshold has a computed
     lowest energy of at least best + window.
-
-    The bound pass holds a few arrays of one entry per basis state, freed
-    on return.
     """
-    sizes, diagonal, _, radius = _block_entries(p, np.arange(p.n_max + p.n_atoms + 1))
-    bounds = np.minimum.reduceat(diagonal - radius, np.cumsum(sizes) - sizes)
+    offsets, _, diagonal, _, radius = entries
+    bounds = np.minimum.reduceat(diagonal - radius, offsets[:-1])
     norm = float((np.abs(diagonal) + radius).max())
-    allowance = (int(sizes.max()) + 2) * np.finfo(float).eps * norm
+    allowance = (int(np.diff(offsets).max()) + 2) * np.finfo(float).eps * norm
     return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
 
 
 def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     """ground_state_sectored under rwa: lowest energy over the excitation blocks.
 
-    Solves the blocks in ascending order of their Gershgorin bounds (see
-    _excitation_bounds): the lowest alone, so that an energy is known, then
-    the rest in stacks of at most _BATCH_FLOATS padded entries, one
-    np.linalg.eigvalsh a stack.  A block whose bound exceeds the lowest
-    energy found so far by more than the tie window plus the allowance is
-    skipped, and with it every later one: its lowest energy lies at least
-    a window above the final minimum, so it can neither be the minimum nor
-    tie with it.  eigvalsh splits a padded stack at its zero couplings, so
-    a block's energies do not depend on the stack it is solved in.  The
-    minimum, the tie set and so the chosen k and the flag are those of
-    solving every block, and the reported state comes from
-    np.linalg.eigh of the chosen block alone, bit for bit the same.
+    The blocks go to np.linalg.eigvalsh in ascending order of their bounds
+    (_excitation_bounds), the lowest alone, so that an energy is known, and
+    then in stacks of at most _BATCH_FLOATS padded entries.  A block whose
+    bound exceeds the best energy found by more than the window plus the
+    allowance, and every later one, can neither be the minimum nor tie with
+    it, so it is skipped.  eigvalsh splits a stack at its zero couplings, so
+    a block's energies do not depend on its stack: every returned bit, the
+    eigh of the chosen block included, equals solving every block.
     """
-    _require_dimension(p)
-    bounds, window, allowance = _excitation_bounds(p)
+    entries = _excitation_entries(p)
+    bounds, window, allowance = _excitation_bounds(entries)
     order = np.argsort(bounds, kind="stable")
     per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
     solved, lowest = [], []
@@ -449,7 +449,7 @@ def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
         ks = ks[bounds[ks] <= best + window + allowance]  # a prefix: the bounds ascend
         if ks.size == 0:
             break
-        batch, _ = _excitation_batch(p, ks)
+        batch = _excitation_batch(entries, ks)
         solved.append(ks)
         lowest.append(np.linalg.eigvalsh(batch)[:, 0])
         del batch  # else it lives on while the next one is built
@@ -459,12 +459,11 @@ def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     solved, lowest = np.concatenate(solved), np.concatenate(lowest)
     tied = solved[lowest - lowest.min() < window]
     k = int(tied.max())
-    (block,), _ = _excitation_batch(p, np.array([k]))
+    (block,) = _excitation_batch(entries, np.array([k]))
     values, vectors = np.linalg.eigh(block)
-    first = max(0, k - p.n_atoms)
+    offsets, rows = entries[:2]
     full = np.zeros(p.dimension)
-    # (n, k - n) sits at n (N + 1) + k - n
-    full[np.arange(first, first + block.shape[0]) * p.n_atoms + k] = _fix_sign(vectors[:, 0])
+    full[rows[offsets[k] : offsets[k + 1]]] = _fix_sign(vectors[:, 0])
     return float(values[0]), full, tied.size > 1
 
 
@@ -475,12 +474,9 @@ def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     lower one (ties go to even parity), together with a flag marking a
     near-degenerate doublet (sector gap below 1e-8 of the matrix norm
     scale).  rwa: returns the lowest excitation block k, ties within the
-    same scale going to the largest k and setting the flag.  Blocks are
-    solved in ascending order of their Gershgorin lower bounds, and those
-    whose bound exceeds the lowest energy found by more than that scale
-    plus a rounding allowance are skipped: they can be neither the lowest
-    nor tied with it, so every returned bit equals solving all blocks.
-    The returned vector is supported on a single block, so parity is
+    same scale going to the largest k and setting the flag; blocks whose
+    Gershgorin bound rules them out are skipped, which changes no returned
+    bit.  The returned vector is supported on a single block, so parity is
     exact.
     """
     if p.rwa:
@@ -504,6 +500,7 @@ def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerat
     given; it must be finite.
     """
     energy = _require("energy", energy, "energy")
+    _require_spin_matrices(p)
     vec = np.asarray(state, dtype=float)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-9:
@@ -555,6 +552,7 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
     moves by less than FRACTION_TOL when the truncation is doubled; gives
     up past FOCK_SCHEDULE_CAP.
     """
+    _require_spin_matrices(p)  # before any solve, not after the first
     previous: GroundStateReport | None = None
     n_max = FOCK_SCHEDULE_START
     while n_max <= FOCK_SCHEDULE_CAP:

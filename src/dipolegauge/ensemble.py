@@ -182,7 +182,11 @@ def intimacy_violations(config: AtomConfiguration, k_m) -> list[tuple[int, int]]
 
 
 def max_packing_density(k_m) -> float:
-    """Density (kM/2)^3 of a simple-cubic lattice with spacing 2/kM (1/m^3)."""
+    """Density (kM/2)^3 of a simple-cubic lattice with spacing 2/kM (1/m^3).
+
+    Within 1 eps of the exact value: kM/2 is exact, and pow, faithful in the
+    C library, rounds once by at most an ulp.
+    """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     return (mu / 2.0) ** 3
 
@@ -209,6 +213,17 @@ def overlap_envelope_bound(d_a: float, d_b: float, k_m, separation: float) -> fl
     |dA| |dB| kM^3/(8 pi eps0) * exp(-x) * (2x^3 + 4x^2 + 8x + 8)/x^3 with
     x = kM * separation; a triangle-inequality bound over all dipole
     orientations on the exact cross integral.
+
+    Rounding: within (11 + x/2) eps of the exact value at the float inputs,
+    plus 2^-1073 (1 + p (1 + P)), with p the polynomial quotient and P =
+    |dA| |dB| kM^3/(8 pi eps0).  With u = eps/2 per rounding and 2u per exp
+    or pow (faithful in the C library), the 11 eps is 11u in p (2u from the
+    numerator's pow terms, 3u from its sums, 2u from the denominator's pow,
+    u from the quotient, 3u from the rounding of x, which p amplifies at
+    most threefold) and 11u in the rest (kM^3, math.pi, six products or
+    quotients and exp: 10.35u).  The rounding of x moves exp(-x) by x u.
+    The absolute term covers exp(-x) and the products rounding below the
+    normal floats past x = 708.
     """
     mu = _require("cutoff wavenumber", k_m, "wavenumber")
     x = mu * _require("separation", separation, "length")

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -198,6 +199,21 @@ class TestDickeScan:
         (row,) = json.loads(out)["rows"]
         assert "exceeds cap" in row["error"]
         assert "exceeds cap" in err
+
+    def test_spin_matrices_past_the_budget_fail_the_row(self, capsys):
+        # 249,993 states fit the dimension cap, but observables' three dense spin
+        # matrices would take 5.7 GiB each; the row fails before any solve
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["dicke-scan", "--N", "27776", "--F", "0", "--resonant", "--rwa"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert row["energy_rad_per_s"] is None and "spin matrix size" in row["error"]
+        assert "exceeds cap" in err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):

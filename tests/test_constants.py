@@ -69,6 +69,16 @@ def test_wavelength_round_trip(lam):
     assert 2.0 * math.pi * SPEED_OF_LIGHT / wavelength_to_omega(lam) == pytest.approx(lam, rel=1e-12)
 
 
+@given(st.floats(min_value=-30.0, max_value=10.0))
+def test_wavelength_to_omega_within_stated_bound(log_lam):
+    """The docstring's 1.5 eps against mpmath at 50 digits, log-uniform over the length row."""
+    mpmath = pytest.importorskip("mpmath")
+    lam = 10.0**log_lam
+    with mpmath.workdps(50):
+        exact = 2 * mpmath.pi * SPEED_OF_LIGHT / mpmath.mpf(lam)
+        assert abs(mpmath.mpf(wavelength_to_omega(lam)) - exact) <= 1.5 * 2.0**-52 * exact
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-9])
 def test_nonpositive_wavelength_rejected(bad):
     with pytest.raises(ValueError):

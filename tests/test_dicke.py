@@ -276,11 +276,12 @@ def all_blocks_ground(p):
     One eigvalsh over the whole padded stack, ties within the window going
     to the largest k, and eigh of the chosen block alone.
     """
-    batch, norm = dicke._excitation_batch(p, np.arange(p.n_max + p.n_atoms + 1))
-    lowest = np.linalg.eigvalsh(batch)[:, 0]
-    tied = np.flatnonzero(lowest - lowest.min() < dicke.NEAR_DEGENERACY_FACTOR * norm)
+    entries = dicke._excitation_entries(p)
+    _, window, _ = dicke._excitation_bounds(entries)
+    lowest = np.linalg.eigvalsh(dicke._excitation_batch(entries, np.arange(p.n_max + p.n_atoms + 1)))[:, 0]
+    tied = np.flatnonzero(lowest - lowest.min() < window)
     k = int(tied[-1])
-    (block,), _ = dicke._excitation_batch(p, np.array([k]))
+    (block,) = dicke._excitation_batch(entries, np.array([k]))
     values, vectors = np.linalg.eigh(block)
     full = np.zeros(p.dimension)
     full[excitation_indices(p)[k]] = dicke._fix_sign(vectors[:, 0])
@@ -307,7 +308,8 @@ class TestExcitationBlocks:
         )
         h = build_hamiltonian(p)
         blocks = excitation_indices(p)
-        batch, norm = dicke._excitation_batch(p, np.arange(len(blocks)))
+        entries = dicke._excitation_entries(p)
+        batch = dicke._excitation_batch(entries, np.arange(len(blocks)))
         assert batch.shape == (len(blocks), min(n_atoms, n_max) + 1, min(n_atoms, n_max) + 1)
         pad = batch[-1, -1, -1]  # the last block has one state: (n_max, N)
         for padded, idx in zip(batch, blocks):
@@ -317,7 +319,8 @@ class TestExcitationBlocks:
             assert np.array_equal(padded[size:, size:], pad * np.eye(padded.shape[0] - size))
             assert not padded[size:, :size].any() and not padded[:size, size:].any()
             assert np.linalg.eigvalsh(block)[-1] <= pad + 1e-14 * abs(pad)
-        assert norm == pytest.approx(dicke._row_sum_norm(h), rel=1e-15)
+        _, window, _ = dicke._excitation_bounds(entries)
+        assert window == pytest.approx(dicke.NEAR_DEGENERACY_FACTOR * dicke._row_sum_norm(h), rel=1e-15)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -344,14 +347,14 @@ class TestExcitationBlocks:
         p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
         whole = ground_state_sectored(p)
         (k_whole,) = np.unique(excitation_diagonal(p)[whole[1] != 0.0])
-        bounds, window, allowance = dicke._excitation_bounds(p)
+        bounds, window, allowance = dicke._excitation_bounds(dicke._excitation_entries(p))
         needed = set(np.flatnonzero(bounds <= min(block_lowest(p)) + window + allowance).tolist())
         build, batches = dicke._excitation_batch, []
 
-        def recording_build(p, ks):
-            batch, norm = build(p, ks)
+        def recording_build(entries, ks):
+            batch = build(entries, ks)
             batches.append((ks.tolist(), batch.size))
-            return batch, norm
+            return batch
 
         monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
         for floats in (1, 40, 200):  # one block per batch, then a few
@@ -407,13 +410,13 @@ class TestExcitationBlocks:
             n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
         )
         lowest = block_lowest(p)
-        bounds, window, allowance = dicke._excitation_bounds(p)
+        bounds, window, allowance = dicke._excitation_bounds(dicke._excitation_entries(p))
         assert np.all(bounds - allowance <= lowest)  # the bound as the skip test takes it
         build, solved = dicke._excitation_batch, set()
 
-        def recording_build(p, ks):
+        def recording_build(entries, ks):
             solved.update(ks.tolist())
-            return build(p, ks)
+            return build(entries, ks)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dicke, "_excitation_batch", recording_build)
@@ -464,6 +467,25 @@ class TestExcitationBlocks:
         h = build_hamiltonian(p)
         assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
 
+    def test_matrix_elements_evaluated_once_per_solve(self, monkeypatch):
+        # the bounds, every stack and the chosen block slice one gather of _row_entries
+        counts = dict.fromkeys(("ground_state_sectored", "_row_entries", "_matrix_elements", "observables"), 0)
+        for name in counts:
+
+            def counting(*args, _name=name, _original=getattr(dicke, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dicke, name, counting)
+        template = DickeParams(n_atoms=8, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
+        rows = scan_coupling(template, [0.0, 0.5, 1.0, 1.5, 2.5])
+        assert all(row.error is None for row in rows)
+        solves = counts["ground_state_sectored"]
+        assert solves >= 2 * len(rows)  # the Fock walk solves each point at least twice
+        assert counts["_row_entries"] == counts["observables"] == solves
+        # one call inside each _row_entries and one in each observables, none elsewhere
+        assert counts["_matrix_elements"] == 2 * solves
+
     def test_dimension_refused_before_allocating(self):
         p = params(n_atoms=500, fom=1.3, rwa=True, n_max=499)
         assert p.dimension > dicke.DEFAULT_DIMENSION_CAP
@@ -500,6 +522,25 @@ class TestObservables:
             sx = kron_spin_x(n_atoms)
             expected = float(np.einsum("nj,jk,nk->", psi, sx @ sx, psi)) / n_atoms**2
             assert observables(psi.ravel(), p, energy=0.0).sx2_fraction == expected
+
+    def test_spin_matrices_refused_past_the_batch_budget(self):
+        # three dense (N + 1)^2 spin matrices: at N = 27776 (within the dimension cap
+        # at n_max = 8) 5.7 GiB each, which killed the process after the solve
+        p = DickeParams(n_atoms=2048, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
+        assert (p.n_atoms + 1) ** 2 > dicke._BATCH_FLOATS == p.n_atoms**2
+        dicke._require_spin_matrices(replace(p, n_atoms=2047))
+        state = np.zeros(p.dimension)
+        state[0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="exceeds cap"):
+                observables(state, p, energy=0.0)
+            with pytest.raises(DimensionError, match="exceeds cap"):
+                dicke._converged_ground(p)  # before its first solve
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_unnormalized_state_rejected(self):
         p = params(n_atoms=4, fom=0.5, n_max=8)
@@ -691,10 +732,11 @@ class TestScan:
         assert abs(row.photon_fraction / 0.375 - 1.0) <= 0.15
 
     def test_parallel_matches_serial(self, rows):
-        template = DickeParams(n_atoms=12, omega=1.0, omega_a=1.0, g_collective=0.0)
         grid = [row.fom for row in rows]
-        parallel = scan_coupling(template, grid, max_workers=4)
-        assert parallel == rows
+        for rwa in (False, True):
+            template = DickeParams(n_atoms=12, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=rwa)
+            serial = scan_coupling(template, grid) if rwa else rows
+            assert scan_coupling(template, grid, max_workers=4) == serial
 
     @pytest.mark.parametrize(
         "max_workers, grid_size, threads",

@@ -291,6 +291,57 @@ class TestMaxPackingDensity:
     def test_defining_identity(self):
         assert max_packing_density(MU) * (2.0 / MU) ** 3 == pytest.approx(1.0, rel=1e-12)
 
+    @given(st.floats(min_value=-20.0, max_value=90.0))
+    def test_within_stated_bound(self, log_k_m):
+        """The docstring's 1 eps against mpmath at 50 digits, log-uniform over the wavenumber row."""
+        mpmath = pytest.importorskip("mpmath")
+        k_m = 10.0**log_k_m
+        with mpmath.workdps(50):
+            exact = (mpmath.mpf(k_m) / 2) ** 3
+            assert abs(mpmath.mpf(max_packing_density(k_m)) - exact) <= 2.0**-52 * exact
+
+
+class TestOverlapEnvelopeBound:
+    @staticmethod
+    def assert_within_stated_bound(d_a, d_b, k_m, separation):
+        """(11 + x/2) eps of the exact envelope plus the docstring's absolute term, in mpmath at 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        value = overlap_envelope_bound(d_a, d_b, k_m, separation)
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(k_m)
+            x = mu * mpmath.mpf(separation)
+            poly = (2 * x**3 + 4 * x**2 + 8 * x + 8) / x**3
+            prefactor = mpmath.mpf(d_a) * mpmath.mpf(d_b) * mu**3 / (8 * mpmath.pi * mpmath.mpf(CONSTANTS.eps0))
+            exact = prefactor * mpmath.exp(-x) * poly
+            underflow = mpmath.mpf(2) ** -1073 * (1 + poly * (1 + prefactor))
+            assert abs(mpmath.mpf(value) - exact) <= (11 + x / 2) * 2.0**-52 * exact + underflow
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-50.0, max_value=3.0),  # log10 x: past 745, where exp(-x) is 0
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-100.0, max_value=0.0),
+        st.floats(min_value=-100.0, max_value=0.0),
+    )
+    def test_within_stated_bound(self, log_x, place, log_d_a, log_d_b):
+        # the separation at place along the part of its row that keeps kM = x/separation in its own
+        low, high = max(-30.0, log_x - 90.0), min(10.0, log_x + 20.0)
+        separation = 10.0 ** (low + place * (high - low))
+        k_m = min(max(10.0**log_x / separation, 1e-20), 1e90)
+        self.assert_within_stated_bound(10.0**log_d_a, 10.0**log_d_b, k_m, separation)
+
+    @pytest.mark.parametrize(
+        "d_a, d_b, k_m, separation",
+        [
+            # found by a search over the domains: 0.91 and 0.72 of the bound, at x = 519 and 690,
+            # where the rounding of x through exp(-x) dominates
+            (1.0438728857139891e-06, 5.6912347700711596e-21, 4640078630247746.0, 1.1181855515299427e-13),
+            (7.148151819125219e-14, 6.016804764899876e-20, 5.981711243745159e20, 1.153582319075043e-18),
+        ],
+    )
+    def test_within_stated_bound_at_hard_inputs(self, d_a, d_b, k_m, separation):
+        self.assert_within_stated_bound(d_a, d_b, k_m, separation)
+
 
 class TestConfigFigureOfMerit:
     def test_rubidium_critical_density(self):
@@ -443,7 +494,7 @@ class TestOverlapEnergy:
         directions,
         st.tuples(coordinates, coordinates, coordinates),
         st.floats(min_value=-6.0, max_value=math.log10(700.0)),
-        st.floats(min_value=-29.99, max_value=10.0),  # a pair at 1e-30 m can round below the length floor
+        st.floats(min_value=-29.99, max_value=9.99),  # a pair at 1e-30 m or 1e10 m can round past the length row
     )
     @settings(max_examples=200, deadline=None)
     def test_rounding_within_error_estimate(self, d_a, d_b, direction, offset, log_x, log_separation):
@@ -455,7 +506,7 @@ class TestOverlapEnergy:
         directions,
         st.tuples(coordinates, coordinates, coordinates),
         st.floats(min_value=700.0, max_value=800.0),
-        st.floats(min_value=-29.99, max_value=10.0),  # a pair at 1e-30 m can round below the length floor
+        st.floats(min_value=-29.99, max_value=9.99),  # a pair at 1e-30 m or 1e10 m can round past the length row
     )
     @settings(max_examples=200, deadline=None)
     def test_rounding_within_error_estimate_through_underflow(self, d_a, d_b, direction, offset, x, log_separation):
