@@ -11,6 +11,11 @@ Registry file convention: linewidths are stored as full width at half
 maximum in MHz of ordinary frequency, the form tabulated in atomic-data
 references, and converted exactly once at ingestion to the angular
 half-width gamma used internally (gamma = pi * fwhm_MHz * 1e6).
+
+Rounding bounds are relative to the exact value for the float inputs and
+constants, counted to first order: each product, quotient and sum at
+eps/2, math.pi at eps/2 (it lies 0.35 eps/2 from pi), a power at one ulp,
+and a square root at half its argument's error plus eps/2.
 """
 
 from __future__ import annotations
@@ -95,14 +100,18 @@ class FigureOfMeritReport:
 
 
 def coupling_g(mode: ModeSpec, d: float) -> float:
-    """Single-dipole coupling constant sqrt(omega d^2/(2 hbar eps0 V)) in rad/s."""
+    """Single-dipole coupling constant sqrt(omega d^2/(2 hbar eps0 V)) in rad/s.
+
+    Within 1.75 eps: five roundings under the root (2 hbar is exact), halved,
+    and the root's own.
+    """
     d = _require("d", d, "dipole moment")
     c = CONSTANTS
     return math.sqrt(mode.omega * d * d / (2.0 * c.hbar * c.eps0 * mode.volume))
 
 
 def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> FigureOfMeritReport:
-    """N g^2/(omega omega_A) from an explicit coupling constant."""
+    """N g^2/(omega omega_A) from an explicit coupling constant, within 2 eps: four roundings."""
     n_atoms = _require("n_atoms", n_atoms, "atom number")
     g = _require("g", g, "coupling")
     omega = _require("omega", omega, "frequency")
@@ -118,7 +127,11 @@ def figure_of_merit(n_atoms: float, g: float, omega: float, omega_a: float) -> F
 
 
 def fom_density_q(density: float, lambda_a: float, quality: float) -> FigureOfMeritReport:
-    """Figure of merit (N/V) lambda_A^3 (3/8 pi^2) / Q from a number density."""
+    """Figure of merit (N/V) lambda_A^3 (3/8 pi^2) / Q from a number density.
+
+    Within 5 eps: four roundings, the two powers at one ulp each, and
+    math.pi's error doubled by the square (8 pi^2 is exact past that).
+    """
     density = _require("density", density, "density")
     lambda_a = _require("lambda_a", lambda_a, "length")
     quality = _require("quality", quality, "quality")
@@ -137,7 +150,8 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
     The 16 pi coefficient assumes the transition frequency
     (3/8) m_e c^2 alpha^2 / hbar together with the squared dipole moment
     3 e^2 a0^2 (the ground-state expectation of d^2); with those inputs
-    the density-quality form reduces to this one exactly.
+    the density-quality form reduces to this one exactly.  Within 2.5 eps:
+    two roundings (times 16 is exact), math.pi's, and a0^3 at one ulp.
     """
     density = _require("density", density, "density")
     return FigureOfMeritReport(
@@ -148,7 +162,11 @@ def fom_hydrogenlike(density: float) -> FigureOfMeritReport:
 
 
 def critical_density(lambda_a: float, quality: float) -> float:
-    """Density 8 pi^2 Q/(3 lambda_A^3) at which the figure of merit reaches 1."""
+    """Density 8 pi^2 Q/(3 lambda_A^3) at which the figure of merit reaches 1.
+
+    Within 4.5 eps: three roundings, the two powers at one ulp each, and
+    math.pi's error doubled by the square.
+    """
     lambda_a = _require("lambda_a", lambda_a, "length")
     quality = _require("quality", quality, "quality")
     return 8.0 * math.pi**2 * quality / (3.0 * lambda_a**3)
@@ -158,7 +176,9 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
     """Transition dipole moment implied by the spontaneous decay rate (C*m).
 
     Inverts gamma = omega_A^3 d^2/(6 pi eps0 hbar c^3) with gamma the
-    angular half width at half maximum (half the decay rate).
+    angular half width at half maximum (half the decay rate).  Within
+    3.25 eps: under the root six roundings, math.pi's, and c^3 and omega_A^3
+    at one ulp each (11 eps/2), halved, and the root's own.
     """
     omega_a = _require("omega_a", omega_a, "frequency")
     gamma_hwhm = _require("gamma_hwhm", gamma_hwhm, "frequency")
@@ -167,17 +187,24 @@ def dipole_from_linewidth(omega_a: float, gamma_hwhm: float) -> float:
 
 
 def quality_factor(omega_a: float, gamma_hwhm: float) -> float:
-    """Resonance quality factor omega_A / gamma_hwhm."""
+    """Resonance quality factor omega_A / gamma_hwhm, within eps/2: one quotient."""
     return _require("omega_a", omega_a, "frequency") / _require("gamma_hwhm", gamma_hwhm, "frequency")
 
 
 def species_critical_density(species: AtomSpecies) -> float:
-    """critical_density of the species' transition; AtomSpecies keeps lambda_A and Q inside their domains."""
+    """critical_density of the species' transition; AtomSpecies keeps lambda_A and Q inside their domains.
+
+    Within 6.5 eps of 16 pi^3 c/(3 lambda_A^4 gamma): critical_density's
+    4.5 eps, omega_A's 1.5 eps (wavelength_to_omega) and Q's quotient.
+    """
     return critical_density(species.lambda_a, species.quality)
 
 
 def crystalline_comparison(species: AtomSpecies) -> float:
-    """Ratio of the critical density to the solid-state number density."""
+    """Ratio of the critical density to the solid-state number density, within 7 eps.
+
+    species_critical_density's 6.5 eps and the quotient's eps/2.
+    """
     if species.crystalline_density is None:
         raise ValueError(f"{species.name}: no crystalline density on record")
     return species_critical_density(species) / species.crystalline_density

@@ -31,7 +31,10 @@ diagonal in this basis, so the returned state is supported on one block.
   chosen.  Blocks whose lowest energy lies within NEAR_DEGENERACY_FACTOR
   times the max-row-sum norm of the lowest are tied; the tie goes to the
   largest k, the state a scan enters as the coupling grows, and marks the
-  solve near-degenerate.
+  solve near-degenerate.  A scan row makes one such solve, over the blocks
+  k <= K that an operator inequality leaves (_excitation_reach), at an
+  n_max of K or more, where those blocks are untruncated; only the Dicke
+  coupling walks a schedule of truncations.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians and
 ground_state, so importing this module and rwa scans load numpy alone.
@@ -426,7 +429,7 @@ def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
     return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
 
 
-def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
+def _excitation_ground(p: DickeParams, blocks: int | None = None) -> tuple[float, np.ndarray, bool]:
     """ground_state_sectored under rwa: lowest energy over the excitation blocks.
 
     The blocks go to np.linalg.eigvalsh in ascending order of their bounds
@@ -436,11 +439,13 @@ def _excitation_ground(p: DickeParams) -> tuple[float, np.ndarray, bool]:
     allowance, and every later one, can neither be the minimum nor tie with
     it, so it is skipped.  eigvalsh splits a stack at its zero couplings, so
     a block's energies do not depend on its stack: every returned bit, the
-    eigh of the chosen block included, equals solving every block.
+    eigh of the chosen block included, equals solving every block.  Given
+    blocks, only blocks k < blocks are candidates (_excitation_reach rules
+    out the rest).
     """
     entries = _excitation_entries(p)
     bounds, window, allowance = _excitation_bounds(entries)
-    order = np.argsort(bounds, kind="stable")
+    order = np.argsort(bounds[:blocks], kind="stable")
     per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
     solved, lowest = [], []
     best, done, take = math.inf, 0, 1
@@ -544,15 +549,83 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
 
 
-def _converged_ground(p: DickeParams) -> GroundStateReport:
-    """Walk a doubling Fock schedule until the photon fraction settles.
+def _excitation_reach(p: DickeParams) -> int:
+    """Largest excitation number K whose block may hold the rwa ground state or tie with it.
 
-    Starting at FOCK_SCHEDULE_START, accepts the smallest truncation whose
-    top-layer weight is below TOP_POPULATION_TOL and whose photon fraction
-    moves by less than FRACTION_TOL when the truncation is doubled; gives
-    up past FOCK_SCHEDULE_CAP.
+    For every lam > 0, B'B >= 0 with B = sqrt(lam) a + S- / sqrt(lam) gives
+    a S+ + a' S- >= -(lam a'a + S+ S- / lam) on every excitation block,
+    truncated or not, and S+ S- = j (N - j + 1) at spin index j.  With
+    s = g/sqrt(N) and lam = theta omega / s, 0 < theta < 1, H is therefore
+    at least the diagonal
+
+        D(n, j) = omega (1 - theta) n + omega_A (j - N/2) - F omega_A j (N - j + 1) / (N theta),
+
+    so no energy of block k lies below b_k = omega (1 - theta) k plus the
+    least D(0, j) - omega (1 - theta) j over j <= min(k, N): past k = N, b_k
+    grows linearly.  The ground energy is at most U, that of the mean-field
+    product state: -omega_A N/2 up to F = 1, -omega_A N (F + 1/F)/4 beyond.
+    Block k is ruled out when b_k > U + 2 NEAR_DEGENERACY_FACTOR (M + |U|)
+    for one of theta = 1 - 2^-i, i = 1 ... 52, where M = omega L +
+    omega_A N/2 + s sqrt(L) (N + 1) bounds the max-row-sum norm of every
+    lattice within the dimension cap, whose n_max is at most L.  The
+    solve's tie window is at most half that margin; its skip allowance and
+    the roundings of U and of the bounds, a few eps times terms below
+    20 (M + |U|), stay far below the other half.  So no block past K holds
+    the minimum or ties with it.
+    """
+    n_atoms, omega, omega_a, fom = p.n_atoms, p.omega, p.omega_a, p.figure_of_merit
+    upper = -0.5 * n_atoms * omega_a if fom <= 1.0 else -0.25 * n_atoms * omega_a * (fom + 1.0 / fom)
+    largest = DEFAULT_DIMENSION_CAP // (n_atoms + 1) - 1
+    norm = omega * largest + 0.5 * n_atoms * omega_a + p.g_collective * math.sqrt(largest / n_atoms) * (n_atoms + 1)
+    threshold = upper + 2.0 * NEAR_DEGENERACY_FACTOR * (norm - upper)
+    theta = 1.0 - 0.5 ** np.arange(1, 53)[:, None]
+    slope = omega * (1.0 - theta)
+    k = j = np.arange(n_atoms + 1)
+    diagonal = omega_a * (j - 0.5 * n_atoms) - fom * omega_a * j * (n_atoms + 1 - j) / (n_atoms * theta)  # D(0, j)
+    bounds = slope * k + np.minimum.accumulate(diagonal - slope * j, axis=1)  # b_k, k = 0 ... N, a row per theta
+    tail = float(np.min((threshold - bounds[:, -1:]) / slope))
+    if tail >= 0.0:  # block N stands, and the blocks up to N + tail with it
+        return n_atoms + math.floor(tail)
+    return int(np.flatnonzero((bounds <= threshold).all(axis=0))[-1])
+
+
+def _excitation_report(p: DickeParams) -> GroundStateReport:
+    """_converged_ground under rwa: one solve over the blocks k <= K of _excitation_reach.
+
+    The solve, and its tie window, run at n_max = max(K, FOCK_SCHEDULE_START),
+    where those blocks are untruncated.  The report takes the truncation the
+    Dicke coupling's walk accepts for a state on the chosen block k: the
+    smallest FOCK_SCHEDULE_START 2^i >= k, doubled when k equals it and the
+    state's weight in that top layer (its j = 0 amplitude squared) is at
+    least TOP_POPULATION_TOL.  The state is laid out at that n_max, so that
+    observables sums the arrays of a walk that accepts it there.
+    """
+    reach = _excitation_reach(p)
+    energy, vec, near = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1)
+    k = sum(divmod(int(np.argmax(np.abs(vec))), p.n_atoms + 1))  # n + j of a state in the chosen block
+    n_max = max(FOCK_SCHEDULE_START, 1 << (k - 1).bit_length())  # the least FOCK_SCHEDULE_START 2^i >= k
+    if k == n_max and vec[k * (p.n_atoms + 1)] ** 2 >= TOP_POPULATION_TOL:
+        n_max *= 2
+    layers = (k + 1) * (p.n_atoms + 1)  # photon-major rows: block k lies in the first k + 1 photon layers
+    p = replace(p, n_max=n_max)
+    state = np.zeros(p.dimension)
+    state[:layers] = vec[:layers]
+    return observables(state, p, energy, near_degenerate=near)
+
+
+def _converged_ground(p: DickeParams) -> GroundStateReport:
+    """Ground state at a converged Fock truncation.
+
+    rwa: one solve, _excitation_report.  Dicke coupling: walks a doubling
+    Fock schedule until the photon fraction settles.  Starting at
+    FOCK_SCHEDULE_START, accepts the smallest truncation whose top-layer
+    weight is below TOP_POPULATION_TOL and whose photon fraction moves by
+    less than FRACTION_TOL when the truncation is doubled; gives up past
+    FOCK_SCHEDULE_CAP.
     """
     _require_spin_matrices(p)  # before any solve, not after the first
+    if p.rwa:
+        return _excitation_report(p)
     previous: GroundStateReport | None = None
     n_max = FOCK_SCHEDULE_START
     while n_max <= FOCK_SCHEDULE_CAP:

@@ -215,6 +215,27 @@ class TestDickeScan:
         assert "exceeds cap" in err
         assert peak < 1 << 20
 
+    def test_rwa_row_past_the_fock_schedule(self, capsys):
+        # the ground block lies past the walk's last truncation, 512; one solve reaches it
+        code, out, _ = run_cli(capsys, ["dicke-scan", "--N", "32", "--F", "40", "--resonant", "--rwa"])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["n_max"] == 512 and row["photon_fraction"] > 9.0 and row["parity"] == -1.0
+
+    def test_rwa_blocks_past_the_cap_fail_the_row_before_allocating(self, capsys):
+        # the blocks the bound leaves at N = 1, F = 7.6e32 need a truncation past 1e33
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["dicke-scan", "--N", "1", "--F", "7.6e32", "--resonant", "--rwa"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert row["energy_rad_per_s"] is None and row["error"].startswith("dimension ")
+        assert "exceeds cap" in row["error"] and "exceeds cap" in err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):
         code, out, err = run_cli(capsys, ["dicke-scan", "--N", "6", "--F", "0.5", "--resonant", "--jobs", jobs])
@@ -437,12 +458,14 @@ class TestDeterminism:
         assert code == 0
         assert out.encode("utf-8") == (PERFBENCH / "data" / "cli" / f"{name}.stdout").read_bytes()
 
-    def test_rwa_scan_matches_golden_bytes(self, capsys):
-        # no criterion-11 command takes the rwa path; this golden holds its bits
-        argv = ["dicke-scan", "--N", "8", "--F", "0:2.5:0.1", "--resonant", "--rwa", "--format", "csv"]
+    # no criterion-11 command takes the rwa path; these goldens hold its bits,
+    # N = 32 at the benchmark's RWA size
+    @pytest.mark.parametrize("n_atoms, golden", [("8", "dicke-scan-rwa.stdout"), ("32", "dicke-scan-rwa-n32.stdout")])
+    def test_rwa_scan_matches_golden_bytes(self, capsys, n_atoms, golden):
+        argv = ["dicke-scan", "--N", n_atoms, "--F", "0:2.5:0.1", "--resonant", "--rwa", "--format", "csv"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert out.encode("utf-8") == (Path(__file__).parent / "data" / "dicke-scan-rwa.stdout").read_bytes()
+        assert out.encode("utf-8") == (Path(__file__).parent / "data" / golden).read_bytes()
 
     def test_repeated_runs_byte_identical_in_process(self, capsys, atoms_file):
         argv = ["ensemble-check", "--config", atoms_file, "--kM-inv-bohr", "0.5"]

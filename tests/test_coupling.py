@@ -200,6 +200,56 @@ class TestCrystallineComparison:
         assert 4.9e-80 < density < 5e160 and 4.9e-140 < ratio < 5e190
 
 
+def log_uniform(quantity):
+    """Floats spread log-uniformly over the DOMAINS row of quantity, both ends included."""
+    low, high = DOMAINS[quantity][:2]
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: min(max(10.0**x, low), high))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=log_uniform("frequency"),
+    omega_a=log_uniform("frequency"),
+    gamma_hwhm=log_uniform("frequency"),
+    volume=log_uniform("volume"),
+    d=log_uniform("dipole moment"),
+    n_atoms=log_uniform("atom number"),
+    g=log_uniform("coupling"),
+    density=log_uniform("density"),
+    lambda_a=log_uniform("length"),
+    quality=log_uniform("quality"),
+    crystalline_density=log_uniform("crystalline density"),
+)
+def test_scalar_formulas_within_stated_bounds(
+    omega, omega_a, gamma_hwhm, volume, d, n_atoms, g, density, lambda_a, quality, crystalline_density
+):
+    """Each docstring's relative bound against mpmath at 50 digits, log-uniform over the whole domains."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0**-52
+    species = AtomSpecies("X", lambda_a, gamma_hwhm, 1e-25, crystalline_density)
+    with mpmath.workdps(50):
+        m, pi = mpmath.mpf, mpmath.pi
+        hbar, eps0, a0, c = (m(v) for v in (CONSTANTS.hbar, CONSTANTS.eps0, CONSTANTS.a0, CONSTANTS.c))
+        critical = 16 * pi**3 * c / (3 * m(lambda_a) ** 4 * m(gamma_hwhm))  # with omega_A = 2 pi c/lambda_A
+        cases = [
+            (coupling_g(ModeSpec(omega, volume), d), mpmath.sqrt(m(omega) * m(d) ** 2 / (2 * hbar * eps0 * m(volume))), 1.75),
+            (figure_of_merit(n_atoms, g, omega, omega_a).value, m(n_atoms) * m(g) ** 2 / (m(omega) * m(omega_a)), 2.0),
+            (fom_density_q(density, lambda_a, quality).value, m(density) * m(lambda_a) ** 3 * 3 / (8 * pi**2 * m(quality)), 5.0),
+            (fom_hydrogenlike(density).value, m(density) * 16 * pi * a0**3, 2.5),
+            (critical_density(lambda_a, quality), 8 * pi**2 * m(quality) / (3 * m(lambda_a) ** 3), 4.5),
+            (
+                dipole_from_linewidth(omega_a, gamma_hwhm),
+                mpmath.sqrt(6 * pi * eps0 * hbar * c**3 * m(gamma_hwhm) / m(omega_a) ** 3),
+                3.25,
+            ),
+            (quality_factor(omega_a, gamma_hwhm), m(omega_a) / m(gamma_hwhm), 0.5),
+            (species_critical_density(species), critical, 6.5),
+            (crystalline_comparison(species), critical / m(crystalline_density), 7.0),
+        ]
+        for value, exact, bound in cases:
+            assert abs(m(value) - exact) <= bound * eps * exact, (value, bound)
+
+
 class TestFormEquivalence:
     def test_all_registry_species(self, registry):
         volume = 1e-15

@@ -258,6 +258,30 @@ def parity_ground(p):
     return energy, full, False
 
 
+def parity_walk(p):
+    """The Fock walk over parity_ground: the oracle for the rows of an rwa scan.
+
+    Doubles n_max from FOCK_SCHEDULE_START and accepts a truncation whose
+    top-layer weight is below TOP_POPULATION_TOL and whose photon fraction
+    moves by less than FRACTION_TOL at twice the truncation.
+    """
+    previous = None
+    n_max = dicke.FOCK_SCHEDULE_START
+    while n_max <= dicke.FOCK_SCHEDULE_CAP:
+        candidate = replace(p, n_max=n_max)
+        energy, vec, _ = parity_ground(candidate)
+        report = observables(vec, candidate, energy)
+        if (
+            previous is not None
+            and previous.top_fock_population < dicke.TOP_POPULATION_TOL
+            and abs(report.photon_fraction - previous.photon_fraction) < dicke.FRACTION_TOL
+        ):
+            return previous
+        previous = report
+        n_max *= 2
+    raise FockTruncationError(f"no Fock truncation up to {dicke.FOCK_SCHEDULE_CAP}")
+
+
 def excitation_indices(p):
     """Basis indices of each excitation block k = n + j, k ascending."""
     excitation = excitation_diagonal(p)
@@ -430,7 +454,7 @@ class TestExcitationBlocks:
             template = DickeParams(n_atoms=n_atoms, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
             rows = scan_coupling(template, grid)
             with monkeypatch.context() as patch:
-                patch.setattr(dicke, "ground_state_sectored", parity_ground)
+                patch.setattr(dicke, "_converged_ground", parity_walk)
                 oracle = scan_coupling(template, grid)
             for row, expected in zip(rows, oracle):
                 assert row.error is None and expected.error is None
@@ -467,9 +491,11 @@ class TestExcitationBlocks:
         h = build_hamiltonian(p)
         assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
 
-    def test_matrix_elements_evaluated_once_per_solve(self, monkeypatch):
-        # the bounds, every stack and the chosen block slice one gather of _row_entries
-        counts = dict.fromkeys(("ground_state_sectored", "_row_entries", "_matrix_elements", "observables"), 0)
+    def test_one_solve_per_row(self, monkeypatch):
+        # the bounds, every stack and the chosen block slice one gather of _row_entries,
+        # and each row makes one solve: no Fock walk
+        names = ("ground_state_sectored", "_excitation_ground", "_row_entries", "_matrix_elements", "observables")
+        counts = dict.fromkeys(names, 0)
         for name in counts:
 
             def counting(*args, _name=name, _original=getattr(dicke, name), **kwargs):
@@ -478,13 +504,36 @@ class TestExcitationBlocks:
 
             monkeypatch.setattr(dicke, name, counting)
         template = DickeParams(n_atoms=8, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
-        rows = scan_coupling(template, [0.0, 0.5, 1.0, 1.5, 2.5])
+        rows = scan_coupling(template, [0.0, 0.5, 1.0, 1.5, 2.5, 6.0])
         assert all(row.error is None for row in rows)
-        solves = counts["ground_state_sectored"]
-        assert solves >= 2 * len(rows)  # the Fock walk solves each point at least twice
-        assert counts["_row_entries"] == counts["observables"] == solves
+        assert rows[-1].n_max > dicke.FOCK_SCHEDULE_START  # past the schedule's first truncation
+        assert counts["ground_state_sectored"] == 0
+        assert counts["_excitation_ground"] == counts["_row_entries"] == counts["observables"] == len(rows)
         # one call inside each _row_entries and one in each observables, none elsewhere
-        assert counts["_matrix_elements"] == 2 * solves
+        assert counts["_matrix_elements"] == 2 * len(rows)
+
+    # F = 1 on resonance: k = 1 ties with the vacuum exactly
+    @given(st.integers(min_value=1, max_value=12), st.just(1.0) | foms, st.just(1.0) | st.floats(0.3, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_reach_keeps_every_block_that_can_win_or_tie(self, n_atoms, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True)
+        reach = dicke._excitation_reach(p)
+        q = replace(p, n_max=reach + n_atoms + 8)  # blocks up to n_max are untruncated
+        lowest = block_lowest(q)[: q.n_max + 1]
+        _, window, _ = dicke._excitation_bounds(dicke._excitation_entries(q))
+        assert np.all(lowest[reach + 1 :] >= lowest.min() + window)
+        report = dicke._converged_ground(p)
+        assert report.energy == pytest.approx(lowest.min(), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("fom", [0.0, 0.5, 0.99])
+    def test_large_ensemble_below_threshold_solves_the_vacuum_alone(self, fom):
+        # below F = 1 the bound rules out every block but k = 0; Gershgorin's
+        # closed form would leave half the blocks, past the dimension cap at N = 1000
+        p = DickeParams.from_figure_of_merit(n_atoms=1000, fom=fom, omega=1.0, omega_a=1.0, rwa=True)
+        assert dicke._excitation_reach(p) == 0
+        (row,) = scan_coupling(replace(p, g_collective=0.0), [fom])
+        assert row.error is None and row.n_max == dicke.FOCK_SCHEDULE_START
+        assert (row.energy, row.photon_fraction, row.parity) == (-500.0, 0.0, 1.0)
 
     def test_dimension_refused_before_allocating(self):
         p = params(n_atoms=500, fom=1.3, rwa=True, n_max=499)
