@@ -16,8 +16,13 @@ diagonal in this basis, so the returned state is supported on one block.
   a row slice of build_hamiltonian's matrix with its column indices halved,
   solved by ground_state (ARPACK).  That keeps <a + a'> exactly zero and
   resolves the near-degenerate doublet deep in the high-coupling phase
-  deterministically.  These blocks stay on ARPACK: a dense solve would
-  change the last bits of every row.
+  deterministically.  Every truncation whose bits a row may report stays
+  on ARPACK: a dense solve would change the last bits of every row.  The
+  doubled truncation that only tests the walk's candidate is refined
+  instead, by banded inverse iteration from the candidate's sectors and a
+  banded Cholesky certificate (_refine, _refinement_accepts), and goes to
+  ARPACK when that does not show the candidate accepted, or when the band
+  is too wide (N above 128) or too large for _BATCH_FLOATS to refine.
 - rwa: the excitation number k = a'a + S_z + N/2, which refines parity
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
   tridiagonal: its rows of _row_entries, gathered once per solve into
@@ -34,10 +39,14 @@ diagonal in this basis, so the returned state is supported on one block.
   solve near-degenerate.  A scan row makes one such solve, over the blocks
   k <= K that an operator inequality leaves (_excitation_reach), at an
   n_max of K or more, where those blocks are untruncated; only the Dicke
-  coupling walks a schedule of truncations.
+  coupling walks a schedule of truncations.  The tie window is taken at
+  that solve's n_max, not at the n_max the row reports, which is the
+  walk's label for the chosen block: the dimension cap bounds the lattice
+  that is built and solved, never the label.
 
-scipy is imported only inside build_hamiltonian, sector_hamiltonians and
-ground_state, so importing this module and rwa scans load numpy alone.
+scipy is imported only inside build_hamiltonian, sector_hamiltonians,
+ground_state and _refine, so importing this module and rwa scans load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
+_REFINE_SOLVES = 3  # banded solves a refinement may take before the exact solve decides
+_REFINE_MAX_BAND = 65  # widest half-bandwidth refined (N <= 128): past it the banded LU outgrows ARPACK
 # Entries of one padded batch of excitation blocks, and of each dense spin
 # matrix observables builds (32 MiB of float64): at the dimension cap,
 # N = n_max = 499, all 999 blocks padded to 500 states would take 2 GB.
@@ -345,6 +356,80 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
+def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[float, np.ndarray, float] | None:
+    """Certified lowest eigenpair of a symmetric banded block, refined from a known one; None if not shown.
+
+    Inverse iteration with the fixed shift (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4) from the unit vector start, one
+    scipy.linalg.solve_banded per step, at most _REFINE_SOLVES, until the
+    Rayleigh quotient theta of x meets ground_state's bound
+    ||Bx - theta x|| <= eps = RESIDUAL_TOL ||B|| (max-row-sum norm).  The
+    pair counts only if scipy.linalg.cholesky_banded factors
+    B - (theta - eps) I, margin eps (Golub & Van Loan, Matrix Computations,
+    section 4.3): then no eigenvalue lies below theta - eps - c, c the
+    factorization's backward error, at most 2 (w + 1)(2w + 1) u ||B|| for
+    half-bandwidth w (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.5, with inner products of w + 1 terms and each entry
+    of |R'||R| below the largest diagonal entry, 2 ||B||), under 4e-12 ||B||
+    for the bands refined.  So theta lies within 2 eps above the lowest
+    eigenvalue, and an excited pair passes only if the two lowest
+    eigenvalues lie within 3 eps.  A true lowest pair passes: its theta
+    lies at most eps^2/(gap - eps) above the lowest eigenvalue
+    (Kato-Temple), and c is far below eps.
+
+    A block is refined only if w <= _REFINE_MAX_BAND, w = ceil(N/2) + 1
+    for a parity sector: each banded solve costs O(w^2) per state, ARPACK's
+    matvecs O(1), and past N = 128 the refinement was measured slower than
+    ARPACK at small F (1.7 times at N = 256, F = 0.5; at N = 499 and 944,
+    F = 0.5, whole rows took 3.8 and 3.2 times as long).  The band,
+    solve_banded's (3w + 1)-row LU array and LAPACK's Fortran-order copy
+    of it take (8w + 3) D floats for D states, at most _BATCH_FLOATS, or
+    the block is left to ARPACK before anything is allocated.
+
+    Returns (theta, x, eps); None when the block is not refined, the
+    iteration falls short, a shifted matrix is exactly singular, or the
+    factorization fails.
+    """
+    from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
+
+    dim = block.shape[0]
+    offset = np.repeat(np.arange(dim), np.diff(block.indptr)) - block.indices  # row - column
+    w = int(np.abs(offset).max(initial=0))
+    if w > _REFINE_MAX_BAND or (8 * w + 3) * dim > _BATCH_FLOATS:
+        return None
+    bound = RESIDUAL_TOL * _row_sum_norm(block)
+    band = np.zeros((2 * w + 1, dim))  # band[w + i - j, j] = B[i, j], solve_banded's layout
+    band[w + offset, block.indices] = block.data
+    diagonal = band[w].copy()
+    band[w] -= shift
+
+    def rayleigh(x):
+        bx = block @ x
+        theta = float(x @ bx)
+        return theta, float(np.linalg.norm(bx - theta * x))
+
+    x = start
+    theta, residual = rayleigh(x)
+    solves = 0
+    while not residual <= bound:  # NaN included
+        if solves == _REFINE_SOLVES:
+            return None
+        try:
+            y = solve_banded((w, w), band, x, check_finite=False)
+        except LinAlgError:
+            return None
+        x = y / np.linalg.norm(y)
+        theta, residual = rayleigh(x)
+        solves += 1
+    upper = band[: w + 1]  # the rows i <= j: cholesky_banded's upper form
+    upper[w] = diagonal - (theta - bound)
+    try:
+        cholesky_banded(upper, overwrite_ab=True, check_finite=False)
+    except LinAlgError:
+        return None
+    return theta, x, bound
+
+
 def _excitation_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block offsets, and the basis row, diagonal, coupling and radius of every state, block by block.
 
@@ -429,8 +514,8 @@ def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
     return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
 
 
-def _excitation_ground(p: DickeParams, blocks: int | None = None) -> tuple[float, np.ndarray, bool]:
-    """ground_state_sectored under rwa: lowest energy over the excitation blocks.
+def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, bool]:
+    """Ground state under rwa: lowest energy over the excitation blocks k < blocks.
 
     The blocks go to np.linalg.eigvalsh in ascending order of their bounds
     (_excitation_bounds), the lowest alone, so that an energy is known, and
@@ -439,9 +524,12 @@ def _excitation_ground(p: DickeParams, blocks: int | None = None) -> tuple[float
     allowance, and every later one, can neither be the minimum nor tie with
     it, so it is skipped.  eigvalsh splits a stack at its zero couplings, so
     a block's energies do not depend on its stack: every returned bit, the
-    eigh of the chosen block included, equals solving every block.  Given
-    blocks, only blocks k < blocks are candidates (_excitation_reach rules
-    out the rest).
+    eigh of the chosen block included, equals solving every candidate
+    block.  Blocks past p.n_max + N do not exist, so blocks = p.n_max +
+    p.n_atoms + 1 takes every block; _excitation_report passes the reach
+    of _excitation_reach.  Blocks whose lowest energy lies within
+    NEAR_DEGENERACY_FACTOR times the max-row-sum norm of the lowest are
+    tied, the tie going to the largest k and setting the returned flag.
     """
     entries = _excitation_entries(p)
     bounds, window, allowance = _excitation_bounds(entries)
@@ -472,30 +560,35 @@ def _excitation_ground(p: DickeParams, blocks: int | None = None) -> tuple[float
     return float(values[0]), full, tied.size > 1
 
 
-def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
-    """Ground state resolved per block of a conserved quantity.
+def _parity_solve(p: DickeParams, sectors: list) -> tuple[tuple[float, np.ndarray, bool], list]:
+    """ground_state of each parity sector: the lower one as ground_state_sectored returns it, and every sector.
 
-    Dicke coupling: solves each parity sector separately and returns the
-    lower one (ties go to even parity), together with a flag marking a
-    near-degenerate doublet (sector gap below 1e-8 of the matrix norm
-    scale).  rwa: returns the lowest excitation block k, ties within the
-    same scale going to the largest k and setting the flag; blocks whose
-    Gershgorin bound rules them out are skipped, which changes no returned
-    bit.  The returned vector is supported on a single block, so parity is
-    exact.
+    sectors is sector_hamiltonians(p); the second item lists (idx, energy,
+    vec) per sector, even parity first, with vec on the sector's states.
     """
-    if p.rwa:
-        return _excitation_ground(p)
-    sectors = sector_hamiltonians(p)
+    grounds = [(idx, *ground_state(block)) for idx, block in sectors]
     # every row of H lies in one sector, so this is the norm of the whole matrix
     scale = max(_row_sum_norm(block) for _, block in sectors)
-    results = [(*ground_state(block), idx) for idx, block in sectors]
-    (even_energy, *_), (odd_energy, *_) = results
+    (_, even_energy, _), (_, odd_energy, _) = grounds
     near_degenerate = abs(even_energy - odd_energy) < NEAR_DEGENERACY_FACTOR * scale
-    energy, vec, idx = min(results, key=lambda item: item[0])
+    idx, energy, vec = min(grounds, key=lambda item: item[1])
     full = np.zeros(p.dimension)
     full[idx] = vec
-    return energy, full, near_degenerate
+    return (energy, full, near_degenerate), grounds
+
+
+def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
+    """Ground state of the Dicke coupling resolved per parity sector.
+
+    Solves each parity sector separately and returns the lower one (ties
+    go to even parity), together with a flag marking a near-degenerate
+    doublet (sector gap below 1e-8 of the matrix norm scale).  The returned
+    vector is supported on a single sector, so parity is exact.  An rwa
+    template is refused: its blocks are solved by _excitation_ground.
+    """
+    if p.rwa:
+        raise ValueError("ground_state_sectored solves the Dicke coupling; rwa blocks go to _excitation_ground")
+    return _parity_solve(p, sector_hamiltonians(p))[0]
 
 
 def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
@@ -598,7 +691,12 @@ def _excitation_report(p: DickeParams) -> GroundStateReport:
     smallest FOCK_SCHEDULE_START 2^i >= k, doubled when k equals it and the
     state's weight in that top layer (its j = 0 amplitude squared) is at
     least TOP_POPULATION_TOL.  The state is laid out at that n_max, so that
-    observables sums the arrays of a walk that accepts it there.
+    observables sums the arrays of a walk that accepts it there.  That
+    n_max is a label: DEFAULT_DIMENSION_CAP bounds the lattice that is
+    built and solved, and no matrix is built at the label, so a row may
+    report a truncation past the cap (N = 499, F = 2 on resonance: solved
+    at n_max 343, 172,000 states, reported 512).  The tie window is the
+    solve's too, taken at its n_max, not at the label.
     """
     reach = _excitation_reach(p)
     energy, vec, near = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1)
@@ -613,6 +711,65 @@ def _excitation_report(p: DickeParams) -> GroundStateReport:
     return observables(state, p, energy, near_degenerate=near)
 
 
+def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: float) -> bool:
+    """Whether the parity solve at p would accept a candidate of this photon fraction, shown without it.
+
+    p is twice the walk's candidate truncation, sectors its
+    sector_hamiltonians, grounds the candidate's (idx, energy, vec) per
+    sector (_parity_solve).  Each block B is refined (_refine) from the
+    candidate's vector of that sector padded with zeros, the photon-major
+    order putting the candidate's states first, shifted to its energy.
+    True means the exact solve's fraction lies within FRACTION_TOL of
+    fraction too; False leaves the decision to the exact solve.  What this
+    cannot foresee is that solve failing its own residual check: where
+    ground_state at p would raise SolverConvergenceError, an acceptance
+    here returns the candidate's row instead of that error row.
+
+    With eps = RESIDUAL_TOL ||B||, M = p.n_max, N = p.n_atoms, lambda_1 <
+    lambda_2 the two lowest eigenvalues of B and u its unit ground vector,
+    the verdict holds under the gap condition
+
+        lambda_2 - lambda_1 = gap >= eps (1 + 8 M / (N FRACTION_TOL))
+
+    for each sector whose fraction is tested.  The condition is assumed,
+    not checked at run time; it asks for at least 10^4 eps (M >= 16 and
+    N <= 128, _refine's band limit), far past the 3 eps within which
+    _refine could certify an excited pair.  Each refined energy lies within 2 eps
+    above lambda_1, and ground_state's within eps (its residual bound, and
+    its contract that the pair is the lowest).  So when the refined
+    energies differ by more than 2 (eps_even + eps_odd), the exact ones
+    are ordered alike and only the lower sector's fraction is tested;
+    otherwise both are, and either choice passes.  Each of the two unit
+    vectors y, refined and exact, has residual at most eps and Rayleigh
+    quotient rho <= lambda_1 + eps (Kato-Temple for the refined one), so
+    with y = cos(phi) u + sin(phi) v, v orthogonal to u, ||By - rho y|| >=
+    sin(phi) (lambda_2 - rho) gives sin(phi) <= eps/(gap - eps) (Davis &
+    Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).  y'(a'a)y/N moves from u's by
+    at most sin(phi) M/N, as a'a - M/2 has norm M/2 and yy' - uu' trace
+    norm 2 sin(phi).  The two fractions thus differ by at most
+    2 M eps/(N (gap - eps)) <= FRACTION_TOL/4 plus observables' roundings,
+    below 1e-8, so a refined fraction within FRACTION_TOL/2 of fraction
+    puts the exact one within FRACTION_TOL.
+    """
+    refined = []
+    for (idx, block), (_, energy, vec) in zip(sectors, grounds):
+        start = np.zeros(idx.size)
+        start[: vec.size] = vec
+        pair = _refine(block, start, energy)
+        if pair is None:
+            return False
+        refined.append((idx, *pair))
+    (_, even_energy, _, even_bound), (_, odd_energy, _, odd_bound) = refined
+    if abs(even_energy - odd_energy) > 2.0 * (even_bound + odd_bound):
+        refined = [min(refined, key=lambda item: item[1])]
+    for idx, energy, x, _ in refined:
+        state = np.zeros(p.dimension)
+        state[idx] = x
+        if not abs(observables(state, p, energy).photon_fraction - fraction) < 0.5 * FRACTION_TOL:
+            return False
+    return True
+
+
 def _converged_ground(p: DickeParams) -> GroundStateReport:
     """Ground state at a converged Fock truncation.
 
@@ -621,25 +778,33 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
     FOCK_SCHEDULE_START, accepts the smallest truncation whose top-layer
     weight is below TOP_POPULATION_TOL and whose photon fraction moves by
     less than FRACTION_TOL when the truncation is doubled; gives up past
-    FOCK_SCHEDULE_CAP.
+    FOCK_SCHEDULE_CAP.  Every truncation it may report is solved exactly
+    (_parity_solve, ARPACK); the doubled one that tests a candidate is
+    first refined from the candidate's own sectors (_refinement_accepts),
+    and solved exactly only when that does not show acceptance.  So the
+    rows are those of exact solves throughout, under the gap condition
+    _refinement_accepts assumes and but for a SolverConvergenceError the
+    exact solve of a refined truncation would have raised.
     """
     _require_spin_matrices(p)  # before any solve, not after the first
     if p.rwa:
         return _excitation_report(p)
     previous: GroundStateReport | None = None
+    grounds: list = []
     n_max = FOCK_SCHEDULE_START
     while n_max <= FOCK_SCHEDULE_CAP:
         candidate = replace(p, n_max=n_max)
-        energy, vec, near = ground_state_sectored(candidate)
+        sectors = sector_hamiltonians(candidate)
+        settled = previous is not None and previous.top_fock_population < TOP_POPULATION_TOL
+        if settled and _refinement_accepts(candidate, sectors, grounds, previous.photon_fraction):
+            return previous
+        (energy, vec, near), grounds = _parity_solve(candidate, sectors)
         report = observables(vec, candidate, energy, near_degenerate=near)
-        if (
-            previous is not None
-            and previous.top_fock_population < TOP_POPULATION_TOL
-            and abs(report.photon_fraction - previous.photon_fraction) < FRACTION_TOL
-        ):
+        if settled and abs(report.photon_fraction - previous.photon_fraction) < FRACTION_TOL:
             return previous
         previous = report
         n_max *= 2
+        del sectors  # freed before the next truncation's blocks are built
     raise FockTruncationError(
         f"no Fock truncation up to {FOCK_SCHEDULE_CAP} met the convergence criteria "
         f"(fom {p.figure_of_merit:.3g}, N {p.n_atoms})"
