@@ -27,16 +27,17 @@ diagonal in this basis, so the returned state is supported on one block.
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
   tridiagonal: its rows of _row_entries, gathered once per solve into
   per-state diagonal, coupling and Gershgorin radius arrays that every
-  stack and the chosen block slice.  Blocks are solved in ascending order
-  of their Gershgorin lower bounds, padded to a common size and stacked,
-  at most _BATCH_FLOATS entries to a stack, one np.linalg.eigvalsh a
-  stack; once a bound exceeds the lowest energy found by more than the
-  tie window plus a stated rounding allowance, the remaining blocks are
-  skipped.  The eigenvector comes from np.linalg.eigh of the one block
-  chosen.  Blocks whose lowest energy lies within NEAR_DEGENERACY_FACTOR
-  times the max-row-sum norm of the lowest are tied; the tie goes to the
-  largest k, the state a scan enters as the coupling grows, and marks the
-  solve near-degenerate.  A scan row makes one such solve, over the blocks
+  stack and the chosen block slice.  The block of least Gershgorin lower
+  bound is solved first, alone; its lowest energy bounds the minimum from
+  above.  Every other block whose bound is at most that energy plus the
+  tie window plus a stated rounding allowance is solved, in ascending k,
+  padded to a common size and stacked, at most _BATCH_FLOATS entries to a
+  stack, one np.linalg.eigvalsh a stack; the rest are skipped.  The
+  eigenvector comes from np.linalg.eigh of the one block chosen.  Blocks
+  whose lowest energy lies within NEAR_DEGENERACY_FACTOR times the
+  max-row-sum norm of the lowest are tied; the tie goes to the largest k,
+  the state a scan enters as the coupling grows, and marks the solve
+  near-degenerate.  A scan row makes one such solve, over the blocks
   k <= K that an operator inequality leaves (_excitation_reach), at an
   n_max of K or more, where those blocks are untruncated; only the Dicke
   coupling walks a schedule of truncations.  The tie window is taken at
@@ -45,8 +46,8 @@ diagonal in this basis, so the returned state is supported on one block.
   that is built and solved, never the label.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians,
-ground_state and _refine, so importing this module and rwa scans load
-numpy alone.
+ground_state, _refine and, for the Dicke coupling, scan_coupling, so
+importing this module and rwa scans load numpy alone.
 """
 
 from __future__ import annotations
@@ -209,15 +210,16 @@ def _matrix_elements(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """m, ladder, spin and scale, the factors of every matrix element.
 
     m[j] is the S_z eigenvalue of spin index j, ladder[n] = <n| a |n+1>,
-    spin[j] the S_x element <j+1| S_x |j> (half the S+ one) or, under rwa,
-    the S+ element, and scale = g/sqrt(N).
+    spin[j] the S+ element <j+1| S+ |j>, and scale = g/sqrt(N), halved for
+    the Dicke coupling, whose S_x = (S+ + S-)/2.  The half is a power of
+    two, so each product rounds as with the S_x elements.
     """
     s = p.n_atoms / 2.0
     m = np.arange(p.n_atoms + 1) - s
-    raising = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1| S+ |m>
-    spin = raising if p.rwa else 0.5 * raising
+    spin = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))
     ladder = np.sqrt(np.arange(1, p.n_max + 1, dtype=float))  # <n-1| a |n>
-    return m, ladder, spin, p.g_collective / math.sqrt(p.n_atoms)
+    scale = p.g_collective / math.sqrt(p.n_atoms)
+    return m, ladder, spin, scale if p.rwa else 0.5 * scale
 
 
 def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,10 +227,10 @@ def _row_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row n (N+1) + j lists its entries in ascending column order, so dropping
     the absent ones (off the lattice, or exactly zero) leaves sorted CSR rows.
-    Values repeat the Kronecker assembly's float operations: omega n + omega_A m
-    on the diagonal, (g/sqrt(N)) (sqrt(n) e) off it, with e the S_x element
-    (half the S+ one) or, under rwa, the S+ element.  Symmetric pairs take
-    the same float values, so H equals its transpose exactly.
+    Values equal the Kronecker assembly's: omega n + omega_A m on the
+    diagonal, scale (sqrt(n) e) off it, with e the S+ element and scale
+    from _matrix_elements.  Symmetric pairs take the same float values, so
+    H equals its transpose exactly.
     """
     _require_dimension(p)
     n_ph = p.n_max + 1
@@ -493,7 +495,8 @@ def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
     The allowance, (L + 2) eps norm for blocks of at most L states (eps =
     2u = 2^-52), bounds to first order in u the roundings that separate a
     computed bound from the computed lowest energy of its block, and those
-    of the skip test best + window + allowance:
+    of the skip test best + window + allowance, best the computed lowest
+    energy of a solved block:
     - the bound d - (|c| + |c'|) rounds twice, by at most 2u times its row
       sum: eps norm;
     - np.linalg.eigvalsh (LAPACK dsyevd: its Householder stage applies no
@@ -517,13 +520,14 @@ def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
 def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, bool]:
     """Ground state under rwa: lowest energy over the excitation blocks k < blocks.
 
-    The blocks go to np.linalg.eigvalsh in ascending order of their bounds
-    (_excitation_bounds), the lowest alone, so that an energy is known, and
-    then in stacks of at most _BATCH_FLOATS padded entries.  A block whose
-    bound exceeds the best energy found by more than the window plus the
-    allowance, and every later one, can neither be the minimum nor tie with
-    it, so it is skipped.  eigvalsh splits a stack at its zero couplings, so
-    a block's energies do not depend on its stack: every returned bit, the
+    The block of least bound (_excitation_bounds) goes to np.linalg.eigvalsh
+    alone; its lowest energy, best, is at least the computed minimum.
+    Every other block whose bound is at most best plus the window plus the
+    allowance follows, in ascending k, in stacks of at most _BATCH_FLOATS
+    padded entries; the rest are skipped, since each has a computed lowest
+    energy of at least best + window, so it can neither be the minimum nor
+    tie with it.  eigvalsh splits a stack at its zero couplings, so a
+    block's energies do not depend on its stack: every returned bit, the
     eigh of the chosen block included, equals solving every candidate
     block.  Blocks past p.n_max + N do not exist, so blocks = p.n_max +
     p.n_atoms + 1 takes every block; _excitation_report passes the reach
@@ -533,23 +537,16 @@ def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, 
     """
     entries = _excitation_entries(p)
     bounds, window, allowance = _excitation_bounds(entries)
-    order = np.argsort(bounds[:blocks], kind="stable")
+    first = np.argmin(bounds[:blocks], keepdims=True)
+    lowest = [np.linalg.eigvalsh(_excitation_batch(entries, first))[:, 0]]
+    (best,) = lowest[0]
+    rest = np.flatnonzero(bounds[:blocks] <= best + window + allowance)
+    rest = rest[rest != first]
     per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
-    solved, lowest = [], []
-    best, done, take = math.inf, 0, 1
-    while done < order.size:
-        ks = order[done : done + take]
-        ks = ks[bounds[ks] <= best + window + allowance]  # a prefix: the bounds ascend
-        if ks.size == 0:
-            break
-        batch = _excitation_batch(entries, ks)
-        solved.append(ks)
-        lowest.append(np.linalg.eigvalsh(batch)[:, 0])
-        del batch  # else it lives on while the next one is built
-        best = min(best, float(lowest[-1].min()))
-        done += ks.size
-        take = per_batch
-    solved, lowest = np.concatenate(solved), np.concatenate(lowest)
+    for start in range(0, rest.size, per_batch):
+        # each stack is freed before the next is built
+        lowest.append(np.linalg.eigvalsh(_excitation_batch(entries, rest[start : start + per_batch]))[:, 0])
+    solved, lowest = np.concatenate((first, rest)), np.concatenate(lowest)
     tied = solved[lowest - lowest.min() < window]
     k = int(tied.max())
     (block,) = _excitation_batch(entries, np.array([k]))
@@ -608,7 +605,7 @@ def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerat
     spin_weights = (psi**2).sum(axis=0)
     n_values = np.arange(p.n_max + 1, dtype=float)
     m_values, _, spin, _ = _matrix_elements(p)
-    upper = np.diag(0.5 * spin if p.rwa else spin, 1)  # under rwa spin holds the S+ elements
+    upper = np.diag(0.5 * spin, 1)
     sx = upper + upper.T
     sx2 = sx @ sx
     ph, sp = _parity_signs(p)

@@ -459,8 +459,11 @@ class TestDeterminism:
         assert out.encode("utf-8") == (PERFBENCH / "data" / "cli" / f"{name}.stdout").read_bytes()
 
     # no criterion-11 command takes the rwa path; these goldens hold its bits,
-    # N = 32 at the benchmark's RWA size
-    @pytest.mark.parametrize("n_atoms, golden", [("8", "dicke-scan-rwa.stdout"), ("32", "dicke-scan-rwa-n32.stdout")])
+    # N = 16 and 32 at the benchmark's RWA sizes
+    @pytest.mark.parametrize(
+        "n_atoms, golden",
+        [("8", "dicke-scan-rwa.stdout"), ("16", "dicke-scan-rwa-n16.stdout"), ("32", "dicke-scan-rwa-n32.stdout")],
+    )
     def test_rwa_scan_matches_golden_bytes(self, capsys, n_atoms, golden):
         argv = ["dicke-scan", "--N", n_atoms, "--F", "0:2.5:0.1", "--resonant", "--rwa", "--format", "csv"]
         code, out, _ = run_cli(capsys, argv)

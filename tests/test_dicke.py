@@ -163,6 +163,25 @@ class TestGroundState:
         assert report.energy == pytest.approx(energies[0], rel=0.0, abs=1e-12)
         assert report.photon_fraction == pytest.approx(fraction, rel=0.0, abs=1e-12)
 
+    def test_fine_crossing_peaks_at_sixteen_atoms(self):
+        # criterion 07's standing failure is the model's: the F at which the resonant
+        # photon fraction first exceeds 0.05, bisected to 1e-4 rather than interpolated
+        # on the 0.1 grid, rises from N = 8 to N = 16 and falls after it
+        crossings = []
+        for n_atoms in (8, 16, 24, 32):
+            low, high = 1.1, 1.25
+            while high - low > 1e-4:
+                middle = 0.5 * (low + high)
+                if dicke._converged_ground(params(n_atoms=n_atoms, fom=middle)).photon_fraction > 0.05:
+                    high = middle
+                else:
+                    low = middle
+            assert 1.1 < low and high < 1.25  # a crossing inside the bracket, not at its ends
+            crossings.append(0.5 * (low + high))
+        assert crossings == pytest.approx([1.16498, 1.18483, 1.17633, 1.16600], abs=1e-4)
+        assert max(crossings) == crossings[1]
+        assert crossings[1] > crossings[2] > crossings[3]
+
     def test_deterministic(self):
         p = params(n_atoms=8, fom=1.3, n_max=24)
         h = build_hamiltonian(p)
@@ -431,7 +450,7 @@ class TestExcitationBlocks:
         expected = all_blocks_ground(p)
         assert expected[2] == (fom != 0.0)
         assert_same_ground(excitation_ground(p), expected)
-        monkeypatch.setattr(dicke, "_BATCH_FLOATS", 1)  # one block a stack: every skip test sees a new best
+        monkeypatch.setattr(dicke, "_BATCH_FLOATS", 1)  # one block a stack
         assert_same_ground(excitation_ground(p), expected)
 
     @given(
@@ -460,6 +479,36 @@ class TestExcitationBlocks:
             energy, _, _ = excitation_ground(p)
         for k in set(range(len(lowest))) - solved:
             assert lowest[k] >= energy + window
+
+    # N = 2, F = 1.3: with one block a stack, a skip test against each new lowest energy
+    # would leave out a block that the least-bound block's energy keeps
+    @pytest.mark.parametrize("n_atoms, fom, omega_a", [(2, 1.3, 1.0), (8, 10.0, 3.0), (32, 3.0, 1.0)])
+    @pytest.mark.parametrize("floats", [1, dicke._BATCH_FLOATS])
+    def test_blocks_chosen_once_against_the_least_bound_block(self, monkeypatch, n_atoms, fom, omega_a, floats):
+        p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True)
+        blocks = dicke._excitation_reach(p) + 1
+        p = replace(p, n_max=max(blocks - 1, dicke.FOCK_SCHEDULE_START))
+        entries = dicke._excitation_entries(p)
+        bounds, window, allowance = dicke._excitation_bounds(entries)
+        bounds = bounds[:blocks]
+        first = int(np.argmin(bounds))
+        (best,) = np.linalg.eigvalsh(dicke._excitation_batch(entries, np.array([first])))[:, 0]
+        rest = [k for k in np.flatnonzero(bounds <= best + window + allowance).tolist() if k != first]
+        build, batches = dicke._excitation_batch, []
+
+        def recording_build(entries, ks):
+            batches.append(ks.tolist())
+            return build(entries, ks)
+
+        monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
+        monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
+        _, vec, _ = dicke._excitation_ground(p, blocks)
+        head, *stacks, chosen = batches
+        assert head == [first]
+        assert sum(stacks, []) == rest  # each once, k ascending
+        per_batch = max(1, floats // (min(p.n_atoms, p.n_max) + 1) ** 2)
+        assert all(len(stack) <= per_batch for stack in stacks)
+        assert chosen == [sum(divmod(int(np.argmax(np.abs(vec))), n_atoms + 1))]
 
     def test_scan_rows_match_parity_solve(self, monkeypatch):
         grid = [round(0.037 + 0.2 * i, 10) for i in range(13)]  # 0.037 .. 2.437, no exact crossing
@@ -542,18 +591,31 @@ class TestExcitationBlocks:
         # N = 499, F = 2 on resonance: the chosen block k* = 312 is exact in the solve at
         # n_max = K = 343; the walk's rule labels the row 512, a lattice no solve builds
         solved, solve = [], dicke._excitation_ground
+        stacks, build = [], dicke._excitation_batch
 
         def recording(p, blocks):
             solved.append(p)
             return solve(p, blocks)
 
+        def recording_build(entries, ks):
+            stacks.append(ks.size)
+            return build(entries, ks)
+
         monkeypatch.setattr(dicke, "_excitation_ground", recording)
+        monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
         template = DickeParams(n_atoms=499, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=True)
         (row,) = scan_coupling(template, [2.0])
         assert row.error is None and row.n_max == 512
         assert replace(template, n_max=row.n_max).dimension > dicke.DEFAULT_DIMENSION_CAP
         (p,) = solved
         assert p.n_max == 343 and p.dimension <= dicke.DEFAULT_DIMENSION_CAP
+        # the first block alone, then stacks of 35, 35 and 8 blocks, then the chosen block
+        assert stacks == [1, 35, 35, 8, 1]
+        printed = (row.energy, row.photon_fraction, row.inversion, row.sx2_fraction, row.parity)
+        assert [repr(value) for value in printed] == [
+            "-312.05228703421784", "0.37497809805144133", "-0.24972759704943734",
+            "0.09417691290188004", "0.9999999999999999",
+        ]
 
     def test_tie_window_taken_at_the_solve_truncation(self):
         # N = 2 on resonance: blocks 4 and 5 cross near F = 7.96862; here block 5 lies above
