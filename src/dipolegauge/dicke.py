@@ -10,7 +10,8 @@ with hbar = 1 (energies in rad/s), or the number-conserving variant
 the figure of merit g^2/(omega omega_A) equals 1 at the critical point.
 
 Ground states are computed per block of a conserved quantity, each
-diagonal in this basis, so the returned state is supported on one block.
+diagonal in this basis; every solve returns one record, _Ground, of the
+state on its block's basis indices, which report lays out for observables.
 
 - Dicke coupling: the parity (-1)^(a'a + S_z + N/2).  Each parity block is
   a row slice of build_hamiltonian's matrix with its column indices halved,
@@ -76,9 +77,9 @@ NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
 _REFINE_SOLVES = 3  # banded solves a refinement may take before the exact solve decides
 _REFINE_MAX_BAND = 65  # widest half-bandwidth refined (N <= 128): past it the banded LU outgrows ARPACK
-# Entries of one padded batch of excitation blocks, and of each dense spin
-# matrix observables builds (32 MiB of float64): at the dimension cap,
-# N = n_max = 499, all 999 blocks padded to 500 states would take 2 GB.
+# No dense array allocated for a solve or a report exceeds this many floats
+# (32 MiB): a stack of padded excitation blocks (all 999 at N = n_max = 499
+# would take 2 GB), _refine's band and LU arrays together, a spin matrix.
 _BATCH_FLOATS = 1 << 22
 
 
@@ -95,7 +96,7 @@ class FockTruncationError(RuntimeError):
 
 
 class DimensionError(ValueError):
-    """Requested matrix exceeds DEFAULT_DIMENSION_CAP, or a dense spin matrix _BATCH_FLOATS entries."""
+    """A basis past DEFAULT_DIMENSION_CAP states, or an unsplittable dense array past _BATCH_FLOATS floats."""
 
 
 def _require_count(name: str, value) -> int:
@@ -197,6 +198,26 @@ class ScanRow:
     sx2_fraction: float | None = None
     parity: float | None = None
     error: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Ground:
+    """A solve's ground state: energy, support, unit amplitudes on it, near-degenerate flag.
+
+    support: the ascending photon-major indices n (N+1) + j of one parity
+    sector or excitation block, the same on any basis that holds them.
+    """
+
+    energy: float
+    support: np.ndarray
+    vec: np.ndarray
+    near_degenerate: bool
+
+    def report(self, p: DickeParams) -> GroundStateReport:
+        """observables of the state laid out on p's basis."""
+        state = np.zeros(p.dimension)
+        state[self.support] = self.vec
+        return observables(state, p, self.energy, near_degenerate=self.near_degenerate)
 
 
 # Basis states (n + dn, j + dj) that H couples |n, j> to, in ascending
@@ -517,8 +538,8 @@ def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
     return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
 
 
-def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, bool]:
-    """Ground state under rwa: lowest energy over the excitation blocks k < blocks.
+def _excitation_ground(p: DickeParams, blocks: int) -> _Ground:
+    """Ground state under rwa over the excitation blocks k < blocks: the chosen block's rows and vector.
 
     The block of least bound (_excitation_bounds) goes to np.linalg.eigvalsh
     alone; its lowest energy, best, is at least the computed minimum.
@@ -533,7 +554,7 @@ def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, 
     p.n_atoms + 1 takes every block; _excitation_report passes the reach
     of _excitation_reach.  Blocks whose lowest energy lies within
     NEAR_DEGENERACY_FACTOR times the max-row-sum norm of the lowest are
-    tied, the tie going to the largest k and setting the returned flag.
+    tied, the tie going to the largest k and setting the flag.
     """
     entries = _excitation_entries(p)
     bounds, window, allowance = _excitation_bounds(entries)
@@ -552,40 +573,22 @@ def _excitation_ground(p: DickeParams, blocks: int) -> tuple[float, np.ndarray, 
     (block,) = _excitation_batch(entries, np.array([k]))
     values, vectors = np.linalg.eigh(block)
     offsets, rows = entries[:2]
-    full = np.zeros(p.dimension)
-    full[rows[offsets[k] : offsets[k + 1]]] = _fix_sign(vectors[:, 0])
-    return float(values[0]), full, tied.size > 1
+    return _Ground(float(values[0]), rows[offsets[k] : offsets[k + 1]], _fix_sign(vectors[:, 0]), tied.size > 1)
 
 
-def _parity_solve(p: DickeParams, sectors: list) -> tuple[tuple[float, np.ndarray, bool], list]:
-    """ground_state of each parity sector: the lower one as ground_state_sectored returns it, and every sector.
+def _parity_solve(sectors: list) -> list[_Ground]:
+    """ground_state of each sector of sector_hamiltonians, even first, on its basis indices.
 
-    sectors is sector_hamiltonians(p); the second item lists (idx, energy,
-    vec) per sector, even parity first, with vec on the sector's states.
+    Both records carry the doublet's flag, set when the sector energies lie
+    within NEAR_DEGENERACY_FACTOR times the matrix norm; the ground state
+    is the lower one, ties going to even parity, as min takes the first.
     """
-    grounds = [(idx, *ground_state(block)) for idx, block in sectors]
+    solved = [ground_state(block) for _, block in sectors]
     # every row of H lies in one sector, so this is the norm of the whole matrix
     scale = max(_row_sum_norm(block) for _, block in sectors)
-    (_, even_energy, _), (_, odd_energy, _) = grounds
+    (even_energy, _), (odd_energy, _) = solved
     near_degenerate = abs(even_energy - odd_energy) < NEAR_DEGENERACY_FACTOR * scale
-    idx, energy, vec = min(grounds, key=lambda item: item[1])
-    full = np.zeros(p.dimension)
-    full[idx] = vec
-    return (energy, full, near_degenerate), grounds
-
-
-def ground_state_sectored(p: DickeParams) -> tuple[float, np.ndarray, bool]:
-    """Ground state of the Dicke coupling resolved per parity sector.
-
-    Solves each parity sector separately and returns the lower one (ties
-    go to even parity), together with a flag marking a near-degenerate
-    doublet (sector gap below 1e-8 of the matrix norm scale).  The returned
-    vector is supported on a single sector, so parity is exact.  An rwa
-    template is refused: its blocks are solved by _excitation_ground.
-    """
-    if p.rwa:
-        raise ValueError("ground_state_sectored solves the Dicke coupling; rwa blocks go to _excitation_ground")
-    return _parity_solve(p, sector_hamiltonians(p))[0]
+    return [_Ground(energy, idx, vec, near_degenerate) for (idx, _), (energy, vec) in zip(sectors, solved)]
 
 
 def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
@@ -683,39 +686,36 @@ def _excitation_report(p: DickeParams) -> GroundStateReport:
     """_converged_ground under rwa: one solve over the blocks k <= K of _excitation_reach.
 
     The solve, and its tie window, run at n_max = max(K, FOCK_SCHEDULE_START),
-    where those blocks are untruncated.  The report takes the truncation the
-    Dicke coupling's walk accepts for a state on the chosen block k: the
-    smallest FOCK_SCHEDULE_START 2^i >= k, doubled when k equals it and the
-    state's weight in that top layer (its j = 0 amplitude squared) is at
-    least TOP_POPULATION_TOL.  The state is laid out at that n_max, so that
-    observables sums the arrays of a walk that accepts it there.  That
-    n_max is a label: DEFAULT_DIMENSION_CAP bounds the lattice that is
+    where those blocks are untruncated.  The record's support is block k:
+    k = n + j of its first state, and its last is n = k, j = 0.  The report
+    takes the truncation the Dicke coupling's walk accepts for that state:
+    the smallest FOCK_SCHEDULE_START 2^i >= k, doubled when k equals it and
+    the last amplitude squared (the top-layer weight) is at least
+    TOP_POPULATION_TOL, and lays the record out there, as the walk would.
+    That n_max is a label: DEFAULT_DIMENSION_CAP bounds the lattice that is
     built and solved, and no matrix is built at the label, so a row may
     report a truncation past the cap (N = 499, F = 2 on resonance: solved
     at n_max 343, 172,000 states, reported 512).  The tie window is the
     solve's too, taken at its n_max, not at the label.
     """
     reach = _excitation_reach(p)
-    energy, vec, near = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1)
-    k = sum(divmod(int(np.argmax(np.abs(vec))), p.n_atoms + 1))  # n + j of a state in the chosen block
+    ground = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1)
+    k = sum(divmod(int(ground.support[0]), p.n_atoms + 1))  # n + j of the block's first state
     n_max = max(FOCK_SCHEDULE_START, 1 << (k - 1).bit_length())  # the least FOCK_SCHEDULE_START 2^i >= k
-    if k == n_max and vec[k * (p.n_atoms + 1)] ** 2 >= TOP_POPULATION_TOL:
+    if k == n_max and ground.vec[-1] ** 2 >= TOP_POPULATION_TOL:  # the block's last state, n = k, j = 0
         n_max *= 2
-    layers = (k + 1) * (p.n_atoms + 1)  # photon-major rows: block k lies in the first k + 1 photon layers
-    p = replace(p, n_max=n_max)
-    state = np.zeros(p.dimension)
-    state[:layers] = vec[:layers]
-    return observables(state, p, energy, near_degenerate=near)
+    return ground.report(replace(p, n_max=n_max))
 
 
 def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: float) -> bool:
     """Whether the parity solve at p would accept a candidate of this photon fraction, shown without it.
 
     p is twice the walk's candidate truncation, sectors its
-    sector_hamiltonians, grounds the candidate's (idx, energy, vec) per
-    sector (_parity_solve).  Each block B is refined (_refine) from the
-    candidate's vector of that sector padded with zeros, the photon-major
-    order putting the candidate's states first, shifted to its energy.
+    sector_hamiltonians, grounds the candidate's two records (_parity_solve).
+    Each block B is refined (_refine) from the candidate's vector of that
+    sector padded with zeros, the photon-major order putting the
+    candidate's states first, shifted to its energy; the refined pairs are
+    records too, near-degenerate when their order is not shown (below).
     True means the exact solve's fraction lies within FRACTION_TOL of
     fraction too; False leaves the decision to the exact solve.  What this
     cannot foresee is that solve failing its own residual check: where
@@ -748,23 +748,19 @@ def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: 
     below 1e-8, so a refined fraction within FRACTION_TOL/2 of fraction
     puts the exact one within FRACTION_TOL.
     """
-    refined = []
-    for (idx, block), (_, energy, vec) in zip(sectors, grounds):
+    pairs = []
+    for (idx, block), ground in zip(sectors, grounds):
         start = np.zeros(idx.size)
-        start[: vec.size] = vec
-        pair = _refine(block, start, energy)
+        start[: ground.vec.size] = ground.vec
+        pair = _refine(block, start, ground.energy)
         if pair is None:
             return False
-        refined.append((idx, *pair))
-    (_, even_energy, _, even_bound), (_, odd_energy, _, odd_bound) = refined
-    if abs(even_energy - odd_energy) > 2.0 * (even_bound + odd_bound):
-        refined = [min(refined, key=lambda item: item[1])]
-    for idx, energy, x, _ in refined:
-        state = np.zeros(p.dimension)
-        state[idx] = x
-        if not abs(observables(state, p, energy).photon_fraction - fraction) < 0.5 * FRACTION_TOL:
-            return False
-    return True
+        pairs.append(pair)
+    (even_energy, _, even_bound), (odd_energy, _, odd_bound) = pairs
+    near_degenerate = abs(even_energy - odd_energy) <= 2.0 * (even_bound + odd_bound)
+    refined = [_Ground(energy, idx, x, near_degenerate) for (idx, _), (energy, x, _) in zip(sectors, pairs)]
+    tested = refined if near_degenerate else [min(refined, key=operator.attrgetter("energy"))]
+    return all(abs(ground.report(p).photon_fraction - fraction) < 0.5 * FRACTION_TOL for ground in tested)
 
 
 def _converged_ground(p: DickeParams) -> GroundStateReport:
@@ -776,12 +772,13 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
     weight is below TOP_POPULATION_TOL and whose photon fraction moves by
     less than FRACTION_TOL when the truncation is doubled; gives up past
     FOCK_SCHEDULE_CAP.  Every truncation it may report is solved exactly
-    (_parity_solve, ARPACK); the doubled one that tests a candidate is
-    first refined from the candidate's own sectors (_refinement_accepts),
-    and solved exactly only when that does not show acceptance.  So the
-    rows are those of exact solves throughout, under the gap condition
-    _refinement_accepts assumes and but for a SolverConvergenceError the
-    exact solve of a refined truncation would have raised.
+    (_parity_solve, ARPACK) and reported from its lower record; the doubled
+    one that tests a candidate is first refined from the candidate's own
+    records (_refinement_accepts), and solved exactly only when that does
+    not show acceptance.  So the rows are those of exact solves throughout,
+    under the gap condition _refinement_accepts assumes and but for a
+    SolverConvergenceError the exact solve of a refined truncation would
+    have raised.
     """
     _require_spin_matrices(p)  # before any solve, not after the first
     if p.rwa:
@@ -795,8 +792,8 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
         settled = previous is not None and previous.top_fock_population < TOP_POPULATION_TOL
         if settled and _refinement_accepts(candidate, sectors, grounds, previous.photon_fraction):
             return previous
-        (energy, vec, near), grounds = _parity_solve(candidate, sectors)
-        report = observables(vec, candidate, energy, near_degenerate=near)
+        grounds = _parity_solve(sectors)
+        report = min(grounds, key=operator.attrgetter("energy")).report(candidate)
         if settled and abs(report.photon_fraction - previous.photon_fraction) < FRACTION_TOL:
             return previous
         previous = report

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import subprocess
@@ -8,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, seed, settings, strategies as st
 
 from dipolegauge import polarization
 from dipolegauge.cli import main
+from dipolegauge.coupling import default_species_registry
 from dipolegauge.polarization import radial_envelope
 from conftest import ACCEPTED_ON_A_ROUNDING
 
@@ -20,6 +25,15 @@ sys.path.insert(0, str(PERFBENCH))
 from workloads import SMALL_CONFIG, cli_commands  # noqa: E402
 
 CONFIG_NAME = "atoms.json"
+
+# (dicke-scan flags, golden stdout under tests/data) of the byte-pinned scans
+# dicke-scan <flags> --F 0:2.5:0.1 --resonant --format csv
+GOLDEN_SCANS = [
+    (["--N", "8", "--rwa"], "dicke-scan-rwa.stdout"),
+    (["--N", "16", "--rwa"], "dicke-scan-rwa-n16.stdout"),
+    (["--N", "32", "--rwa"], "dicke-scan-rwa-n32.stdout"),
+    (["--N", "32"], "dicke-scan-n32.stdout"),
+]
 
 
 @pytest.fixture
@@ -458,14 +472,15 @@ class TestDeterminism:
         assert code == 0
         assert out.encode("utf-8") == (PERFBENCH / "data" / "cli" / f"{name}.stdout").read_bytes()
 
-    # no criterion-11 command takes the rwa path; these goldens hold its bits,
-    # N = 16 and 32 at the benchmark's RWA sizes
+    # no criterion-11 command takes the rwa path, and its Dicke-coupling scan stops at N = 6;
+    # these goldens hold the bits of both couplings, N = 16 and 32 at the benchmark's sizes
     @pytest.mark.parametrize(
-        "n_atoms, golden",
-        [("8", "dicke-scan-rwa.stdout"), ("16", "dicke-scan-rwa-n16.stdout"), ("32", "dicke-scan-rwa-n32.stdout")],
+        "flags, golden",
+        GOLDEN_SCANS,
+        ids=[f"{flags[1]}-{golden}" for flags, golden in GOLDEN_SCANS],  # N and the file
     )
-    def test_rwa_scan_matches_golden_bytes(self, capsys, n_atoms, golden):
-        argv = ["dicke-scan", "--N", n_atoms, "--F", "0:2.5:0.1", "--resonant", "--rwa", "--format", "csv"]
+    def test_rwa_scan_matches_golden_bytes(self, capsys, flags, golden):
+        argv = ["dicke-scan", *flags, "--F", "0:2.5:0.1", "--resonant", "--format", "csv"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert out.encode("utf-8") == (Path(__file__).parent / "data" / golden).read_bytes()
@@ -492,3 +507,132 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["envelope"] == radial_envelope(1e10, 1e-9)
+
+
+# --- Seeded fuzz of the five subcommands, run in-process -------------------
+#
+# Every float option takes a finite float of either sign, log-uniform: a
+# binary exponent uniform over the whole float range, or within 2^+-128, or
+# (positive, three times as often) within 2^+-100, about 1e-30 .. 1e30, where
+# most physical values lie, so that valid calls reach the computations too.
+# dicke-scan keeps N <= 4, and its grid to one value or to START:STOP:STEP
+# with STOP = START + c STEP, c <= 2, its figures of merit also drawn from
+# 0 .. 4; --jobs, --output, --registry and other configurations are left to
+# their targeted tests.
+
+
+def _log_uniform(exponents):
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        exponents,
+    )
+
+
+_PHYSICAL = _log_uniform(st.integers(-100, 100)).map(abs)
+FUZZ_FLOATS = st.one_of(
+    _log_uniform(st.integers(-1074, 1023)), _log_uniform(st.integers(-128, 128)), *[_PHYSICAL] * 3, st.just(0.0)
+)
+FUZZ_NUMBERS = FUZZ_FLOATS.map(repr)
+FUZZ_SPECIES = st.sampled_from(sorted(default_species_registry()) + ["Xx"])
+FUZZ_FORMAT = st.sampled_from([[], ["--format=json"], ["--format=csv"]])
+
+
+def _optional(strategy):
+    return st.just([]) | strategy
+
+
+def _flag(name, values=FUZZ_NUMBERS):
+    # one token: argparse takes "-1e-05" after a flag for another option
+    return values.map(lambda value: [f"{name}={value}"])
+
+
+@st.composite
+def _grid(draw):
+    figures = FUZZ_FLOATS | st.floats(0.0, 4.0)  # across the critical point too, where rows converge
+    start = draw(figures)
+    if draw(st.booleans()):
+        return repr(start)
+    step = draw(figures)
+    stop = start + draw(st.integers(0, 2)) * step  # may overflow to inf, which the parser refuses
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+_CUTOFF = st.sampled_from(["--kM", "--kM-inv-bohr"]).flatmap(_flag)
+_FUZZ_COMMANDS = {
+    "cutoff-window": [
+        _CUTOFF,
+        _flag("--species", FUZZ_SPECIES) | _flag("--k-radiation"),
+        _optional(_flag("--lower-threshold")),
+        _optional(_flag("--upper-threshold")),
+        _optional(_flag("--tol")),
+    ],
+    "critical-density": [_optional(_flag("--species", FUZZ_SPECIES)), _optional(st.just(["--compare-crystalline"]))],
+    "dicke-scan": [
+        _flag("--N", st.sampled_from(["1", "2", "3", "4", "0", "-1"])),
+        _flag("--F", _grid()),
+        st.just(["--resonant"]) | st.tuples(_flag("--omega"), _flag("--omega-A")).map(lambda pair: pair[0] + pair[1]),
+        _optional(st.just(["--rwa"])),
+    ],
+    "polarization": [
+        _CUTOFF,
+        _optional(_flag("--r").map(lambda flag: ["--envelope", *flag])),
+        _optional(_flag("--suppression")),
+        _optional(_flag("--kernel", st.lists(FUZZ_NUMBERS, min_size=3, max_size=3).map(",".join))),
+    ],
+    "ensemble-check": [
+        _CUTOFF,
+        _optional(st.lists(st.integers(-1, 2).map(str), min_size=2, max_size=2).map(lambda pair: ["--overlap", *pair])),
+        _optional(_flag("--tol")),
+    ],
+}
+FUZZ_ARGV = st.sampled_from(sorted(_FUZZ_COMMANDS)).flatmap(
+    lambda name: st.tuples(*_FUZZ_COMMANDS[name], FUZZ_FORMAT).map(lambda parts: [name, *sum(parts, [])])
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / CONFIG_NAME
+    path.write_text(json.dumps(SMALL_CONFIG))
+    return str(path)
+
+
+def parsed_report(argv, out):
+    """The report on stdout, parsed as JSON or as CSV rows under their header."""
+    if "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(rows[0]) and all(len(row) == len(rows[0]) for row in rows)
+        return rows
+    return json.loads(out)
+
+
+@seed(20240817)
+@settings(max_examples=300, deadline=None, database=None)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_calls_exit_cleanly(fuzz_config, argv):
+    if argv[0] == "ensemble-check":
+        argv = [*argv, f"--config={fuzz_config}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception, a RuntimeWarning included, fails the property
+    out, err = out.getvalue(), err.getvalue()
+    lines = err.splitlines()
+    event(f"{argv[0]} exit {code}")  # the spread shows under --hypothesis-show-statistics
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        parsed_report(argv, out)
+    elif code == 2:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("dipolegauge: invalid input: ")
+    elif argv[0] == "dicke-scan":
+        # the failed rows, on stderr by F and in the report with empty values
+        report = parsed_report(argv, out)
+        failed = [row for row in report[1:] if row[3] == ""] if "--format=csv" in argv else [
+            row for row in report["rows"] if "error" in row
+        ]
+        assert failed and len(lines) == len(failed)
+        assert all(line.startswith("dicke-scan: F=") for line in lines)
+    else:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("dipolegauge: computation failed: ")

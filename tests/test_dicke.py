@@ -28,7 +28,6 @@ from dipolegauge.dicke import (
     build_hamiltonian,
     crossing_estimate,
     ground_state,
-    ground_state_sectored,
     meanfield_order_parameter,
     observables,
     parity_diagonal,
@@ -138,6 +137,19 @@ class TestBuild:
             DickeParams.from_figure_of_merit(n_atoms=2, fom=value, omega=1.0, omega_a=1.0)
 
 
+def crossing_of(fraction):
+    """F in (1.1, 1.25) at which fraction(F) first exceeds criterion 07's threshold 0.05, bisected to 1e-4."""
+    low, high = 1.1, 1.25
+    while high - low > 1e-4:
+        middle = 0.5 * (low + high)
+        if fraction(middle) > 0.05:
+            high = middle
+        else:
+            low = middle
+    assert 1.1 < low and high < 1.25  # a crossing inside the bracket, not at its ends
+    return 0.5 * (low + high)
+
+
 class TestGroundState:
     @pytest.mark.parametrize("rwa", [False, True])
     @pytest.mark.parametrize("fom", [0.4, 1.5])
@@ -166,21 +178,28 @@ class TestGroundState:
     def test_fine_crossing_peaks_at_sixteen_atoms(self):
         # criterion 07's standing failure is the model's: the F at which the resonant
         # photon fraction first exceeds 0.05, bisected to 1e-4 rather than interpolated
-        # on the 0.1 grid, rises from N = 8 to N = 16 and falls after it
-        crossings = []
-        for n_atoms in (8, 16, 24, 32):
-            low, high = 1.1, 1.25
-            while high - low > 1e-4:
-                middle = 0.5 * (low + high)
-                if dicke._converged_ground(params(n_atoms=n_atoms, fom=middle)).photon_fraction > 0.05:
-                    high = middle
-                else:
-                    low = middle
-            assert 1.1 < low and high < 1.25  # a crossing inside the bracket, not at its ends
-            crossings.append(0.5 * (low + high))
-        assert crossings == pytest.approx([1.16498, 1.18483, 1.17633, 1.16600], abs=1e-4)
+        # on the 0.1 grid, rises from N = 8 to N = 16 and falls after it, from above
+        # the mean-field crossing F (1 - 1/F^2)/4 = 0.05, F = 0.1 + sqrt(1.01)
+        meanfield = crossing_of(lambda fom: meanfield_order_parameter(fom, 1.0, 1.0))
+        assert meanfield == pytest.approx(0.1 + math.sqrt(1.01), abs=1e-4)
+        crossings = [
+            crossing_of(lambda fom: dicke._converged_ground(params(n_atoms=n_atoms, fom=fom)).photon_fraction)
+            for n_atoms in (8, 16, 24, 32, 48, 64)
+        ]
+        assert crossings == pytest.approx([1.16498, 1.18483, 1.17633, 1.16600, 1.1494, 1.1380], abs=1e-4)
         assert max(crossings) == crossings[1]
-        assert crossings[1] > crossings[2] > crossings[3]
+        assert crossings[1] > crossings[2] > crossings[3] > crossings[4] > crossings[5] > meanfield
+
+    def test_resonant_photon_number_exponent_falls_towards_a_third(self):
+        # <a'a> at F = 1 grows as N^x, the local exponent x = log2 of its ratio at 2N and N
+        # falling from 0.448 (N = 8 to 16) to 0.385 (128 to 256), inside (1/3, 1/2): towards
+        # the N^(1/3) of Vidal & Dusuel, EPL 74, 817 (2006)
+        sizes = (8, 16, 32, 64, 128, 256)
+        photons = [n * dicke._converged_ground(params(n_atoms=n, fom=1.0)).photon_fraction for n in sizes]
+        exponents = [math.log2(large / small) for small, large in zip(photons, photons[1:])]
+        assert exponents == pytest.approx([0.448, 0.428, 0.412, 0.397, 0.385], abs=1e-3)
+        assert all(1 / 3 < x < 1 / 2 for x in exponents)
+        assert all(a > b for a, b in zip(exponents, exponents[1:]))
 
     def test_deterministic(self):
         p = params(n_atoms=8, fom=1.3, n_max=24)
@@ -247,29 +266,37 @@ class TestSymmetries:
 
     def test_sectored_state_has_zero_displacement(self):
         p = params(n_atoms=8, fom=2.0, n_max=48)
-        energy, vec, near = ground_state_sectored(p)
-        assert mode_displacement(vec, p) == 0.0
-        report = observables(vec, p, energy=energy, near_degenerate=near)
+        ground = sectored_ground(p)
+        assert mode_displacement(laid_out(ground, p), p) == 0.0
+        report = ground.report(p)
         assert abs(abs(report.parity_expectation) - 1.0) <= 1e-10
 
     def test_sectored_matches_full_solve(self):
         p = params(n_atoms=7, fom=0.9, n_max=20)
-        e_sector, _, _ = ground_state_sectored(p)
+        e_sector = sectored_ground(p).energy
         e_full = np.linalg.eigvalsh(build_hamiltonian(p).toarray())[0]
         assert e_sector == pytest.approx(e_full, abs=1e-11)
 
     def test_near_degeneracy_flag(self):
         # the parity doublet collapses deep in the strong-coupling phase
         weak = params(n_atoms=16, fom=0.5, n_max=16)
-        _, _, near_weak = ground_state_sectored(weak)
+        near_weak = sectored_ground(weak).near_degenerate
         assert not near_weak
         strong = params(n_atoms=16, fom=2.5, n_max=96)
-        _, _, near_strong = ground_state_sectored(strong)
+        near_strong = sectored_ground(strong).near_degenerate
         assert near_strong
 
-    def test_sectored_solve_refuses_rwa(self):
-        with pytest.raises(ValueError, match="_excitation_ground"):
-            ground_state_sectored(params(n_atoms=4, fom=0.5, rwa=True, n_max=8))
+
+def sectored_ground(p):
+    """The production parity solve at p: the record of the lower sector, ties going to even parity."""
+    return min(dicke._parity_solve(sector_hamiltonians(p)), key=lambda ground: ground.energy)
+
+
+def laid_out(ground, p):
+    """A solve's record as a state on p's basis."""
+    state = np.zeros(p.dimension)
+    state[ground.support] = ground.vec
+    return state
 
 
 def parity_ground(p):
@@ -334,9 +361,7 @@ def all_blocks_ground(p):
     k = int(tied[-1])
     (block,) = dicke._excitation_batch(entries, np.array([k]))
     values, vectors = np.linalg.eigh(block)
-    full = np.zeros(p.dimension)
-    full[excitation_indices(p)[k]] = dicke._fix_sign(vectors[:, 0])
-    return float(values[0]), full, tied.size > 1
+    return dicke._Ground(float(values[0]), excitation_indices(p)[k], dicke._fix_sign(vectors[:, 0]), tied.size > 1)
 
 
 def excitation_ground(p):
@@ -345,9 +370,9 @@ def excitation_ground(p):
 
 
 def assert_same_ground(found, expected):
-    assert found[0] == expected[0]
-    assert np.array_equal(found[1], expected[1])
-    assert found[2] == expected[2]
+    assert found.energy == expected.energy
+    assert np.array_equal(found.support, expected.support) and np.array_equal(found.vec, expected.vec)
+    assert found.near_degenerate == expected.near_degenerate
 
 
 class TestExcitationBlocks:
@@ -390,7 +415,8 @@ class TestExcitationBlocks:
             n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
         )
         h = build_hamiltonian(p)
-        energy, vec, _ = excitation_ground(p)
+        ground = excitation_ground(p)
+        energy, vec = ground.energy, laid_out(ground, p)
         dense = np.linalg.eigvalsh(h.toarray())[0]
         assert energy == pytest.approx(dense, rel=1e-12)
         assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
@@ -402,7 +428,8 @@ class TestExcitationBlocks:
     def test_batch_size_changes_nothing(self, monkeypatch, n_atoms, n_max, fom):
         p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
         whole = excitation_ground(p)
-        (k_whole,) = np.unique(excitation_diagonal(p)[whole[1] != 0.0])
+        whole_vec = laid_out(whole, p)
+        (k_whole,) = np.unique(excitation_diagonal(p)[whole_vec != 0.0])
         bounds, window, allowance = dicke._excitation_bounds(dicke._excitation_entries(p))
         needed = set(np.flatnonzero(bounds <= min(block_lowest(p)) + window + allowance).tolist())
         build, batches = dicke._excitation_batch, []
@@ -416,10 +443,10 @@ class TestExcitationBlocks:
         for floats in (1, 40, 200):  # one block per batch, then a few
             monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
             batches.clear()
-            energy, vec, near = excitation_ground(p)
-            assert energy == pytest.approx(whole[0], rel=1e-14)
-            assert np.array_equal(vec != 0.0, whole[1] != 0.0)
-            assert near == whole[2]
+            ground = excitation_ground(p)
+            assert ground.energy == pytest.approx(whole.energy, rel=1e-14)
+            assert np.array_equal(laid_out(ground, p) != 0.0, whole_vec != 0.0)
+            assert ground.near_degenerate == whole.near_degenerate
             *solved, (chosen, _) = batches
             ks = sum((ks for ks, _ in solved), [])
             assert len(ks) == len(set(ks))  # no block twice
@@ -448,7 +475,7 @@ class TestExcitationBlocks:
     def test_bit_for_bit_with_every_block_solved_at_fixed_points(self, monkeypatch, n_atoms, fom, n_max):
         p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
         expected = all_blocks_ground(p)
-        assert expected[2] == (fom != 0.0)
+        assert expected.near_degenerate == (fom != 0.0)
         assert_same_ground(excitation_ground(p), expected)
         monkeypatch.setattr(dicke, "_BATCH_FLOATS", 1)  # one block a stack
         assert_same_ground(excitation_ground(p), expected)
@@ -476,7 +503,7 @@ class TestExcitationBlocks:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dicke, "_excitation_batch", recording_build)
-            energy, _, _ = excitation_ground(p)
+            energy = excitation_ground(p).energy
         for k in set(range(len(lowest))) - solved:
             assert lowest[k] >= energy + window
 
@@ -502,7 +529,7 @@ class TestExcitationBlocks:
 
         monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
         monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
-        _, vec, _ = dicke._excitation_ground(p, blocks)
+        vec = laid_out(dicke._excitation_ground(p, blocks), p)
         head, *stacks, chosen = batches
         assert head == [first]
         assert sum(stacks, []) == rest  # each once, k ascending
@@ -544,19 +571,20 @@ class TestExcitationBlocks:
         assert p.dimension == dicke.DEFAULT_DIMENSION_CAP
         tracemalloc.start()
         try:
-            energy, vec, _ = excitation_ground(p)
+            ground = excitation_ground(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one padded batch and the returned vector; the 999 blocks in one batch would take 2 GB
+        # one padded batch and a few arrays of one entry per state; the 999 blocks in one batch would take 2 GB
         assert peak <= 8 * (dicke._BATCH_FLOATS + p.dimension)
+        energy, vec = ground.energy, laid_out(ground, p)
         h = build_hamiltonian(p)
         assert np.linalg.norm(h @ vec - energy * vec) <= 1e-12 * dicke._row_sum_norm(h)
 
     def test_one_solve_per_row(self, monkeypatch):
         # the bounds, every stack and the chosen block slice one gather of _row_entries,
         # and each row makes one solve: no Fock walk
-        names = ("ground_state_sectored", "_excitation_ground", "_row_entries", "_matrix_elements", "observables")
+        names = ("_parity_solve", "_excitation_ground", "_row_entries", "_matrix_elements", "observables")
         counts = dict.fromkeys(names, 0)
         for name in counts:
 
@@ -569,7 +597,7 @@ class TestExcitationBlocks:
         rows = scan_coupling(template, [0.0, 0.5, 1.0, 1.5, 2.5, 6.0])
         assert all(row.error is None for row in rows)
         assert rows[-1].n_max > dicke.FOCK_SCHEDULE_START  # past the schedule's first truncation
-        assert counts["ground_state_sectored"] == 0
+        assert counts["_parity_solve"] == 0
         assert counts["_excitation_ground"] == counts["_row_entries"] == counts["observables"] == len(rows)
         # one call inside each _row_entries and one in each observables, none elsewhere
         assert counts["_matrix_elements"] == 2 * len(rows)
@@ -659,8 +687,8 @@ class TestExcitationBlocks:
 class TestObservables:
     def test_decoupled_values(self):
         p = DickeParams(n_atoms=6, omega=1.0, omega_a=1.0, g_collective=0.0, n_max=8)
-        energy, vec, near = ground_state_sectored(p)
-        report = observables(vec, p, energy=energy, near_degenerate=near)
+        ground = sectored_ground(p)
+        report = observables(laid_out(ground, p), p, energy=ground.energy, near_degenerate=ground.near_degenerate)
         assert report.photon_fraction == pytest.approx(0.0, abs=1e-12)
         assert report.inversion == pytest.approx(-0.5, abs=1e-12)
         assert report.parity_expectation == pytest.approx(1.0, abs=1e-12)
@@ -812,18 +840,18 @@ class TestRefinement:
         # _BATCH_FLOATS set to the (8w + 3) D floats the larger sector needs, or one less
         p = params(n_atoms=32, fom=2.5, n_max=128)
         candidate = replace(p, n_max=64)
-        _, grounds = dicke._parity_solve(candidate, sector_hamiltonians(candidate))
+        grounds = dicke._parity_solve(sector_hamiltonians(candidate))
         sectors = sector_hamiltonians(p)
         w = p.n_atoms // 2 + 1  # ceil(N/2) + 1 in a parity sector
         monkeypatch.setattr(dicke, "_BATCH_FLOATS", (8 * w + 3) * max(idx.size for idx, _ in sectors) + spare)
         found = []
-        for (idx, block), (_, energy, vec) in zip(sectors, grounds):
+        for (idx, block), ground in zip(sectors, grounds):
             start = np.zeros(idx.size)
-            start[: vec.size] = vec
-            assert np.linalg.norm(block @ start - energy * start) > dicke.RESIDUAL_TOL * dicke._row_sum_norm(block)
+            start[: ground.vec.size] = ground.vec
+            assert np.linalg.norm(block @ start - ground.energy * start) > dicke.RESIDUAL_TOL * dicke._row_sum_norm(block)
             tracemalloc.start()
             try:
-                found.append(dicke._refine(block, start, energy))
+                found.append(dicke._refine(block, start, ground.energy))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
