@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -299,6 +300,15 @@ def cmd_ensemble_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, its subparsers too, that takes -1e-05, -0.5,0,0 or -0.5:1:0.5 after a flag for a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only -123 and -1.5 for values, the rest for options
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     parser.add_argument("--output", help="write the report to this path instead of stdout")
@@ -310,7 +320,7 @@ def _add_cutoff(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dipolegauge", description=__doc__)
+    parser = _Parser(prog="dipolegauge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,23 +28,23 @@ state on its block's basis indices, which report lays out for observables.
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
   tridiagonal: its rows of _row_entries, gathered once per solve into
   per-state diagonal, coupling and Gershgorin radius arrays that every
-  stack and the chosen block slice.  The block of least Gershgorin lower
-  bound is solved first, alone; its lowest energy bounds the minimum from
-  above.  Every other block whose bound is at most that energy plus the
-  tie window plus a stated rounding allowance is solved, in ascending k,
-  padded to a common size and stacked, at most _BATCH_FLOATS entries to a
-  stack, one np.linalg.eigvalsh a stack; the rest are skipped.  The
+  stack and the chosen block slice.  A scan row makes one solve, at an
+  n_max of K or more, where the blocks k <= K are untruncated; only the
+  Dicke coupling walks a schedule of truncations.  One rule, decided
+  before any solve, fixes the blocks it solves: an operator inequality
+  and the mean-field energy give K and a threshold T (_excitation_reach),
+  and of the blocks k <= K every one whose Gershgorin lower bound is at
+  most T is solved, in ascending k, padded to a common size and stacked,
+  at most _BATCH_FLOATS entries to a stack, one np.linalg.eigvalsh a
+  stack; the rest cannot hold the minimum or tie with it.  The
   eigenvector comes from np.linalg.eigh of the one block chosen.  Blocks
   whose lowest energy lies within NEAR_DEGENERACY_FACTOR times the
   max-row-sum norm of the lowest are tied; the tie goes to the largest k,
   the state a scan enters as the coupling grows, and marks the solve
-  near-degenerate.  A scan row makes one such solve, over the blocks
-  k <= K that an operator inequality leaves (_excitation_reach), at an
-  n_max of K or more, where those blocks are untruncated; only the Dicke
-  coupling walks a schedule of truncations.  The tie window is taken at
-  that solve's n_max, not at the n_max the row reports, which is the
-  walk's label for the chosen block: the dimension cap bounds the lattice
-  that is built and solved, never the label.
+  near-degenerate.  The tie window is taken at the solve's n_max, not at
+  the n_max the row reports, which is the walk's label for the chosen
+  block: the dimension cap bounds the lattice that is built and solved,
+  never the label.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians,
 ground_state, _refine and, for the Dicke coupling, scan_coupling, so
@@ -75,7 +75,6 @@ FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
-_REFINE_SOLVES = 3  # banded solves a refinement may take before the exact solve decides
 _REFINE_MAX_BAND = 65  # widest half-bandwidth refined (N <= 128): past it the banded LU outgrows ARPACK
 # No dense array allocated for a solve or a report exceeds this many floats
 # (32 MiB): a stack of padded excitation blocks (all 999 at N = n_max = 499
@@ -383,10 +382,12 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
     """Certified lowest eigenpair of a symmetric banded block, refined from a known one; None if not shown.
 
     Inverse iteration with the fixed shift (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4) from the unit vector start, one
-    scipy.linalg.solve_banded per step, at most _REFINE_SOLVES, until the
-    Rayleigh quotient theta of x meets ground_state's bound
-    ||Bx - theta x|| <= eps = RESIDUAL_TOL ||B|| (max-row-sum norm).  The
+    Eigenvalue Problem, ch. 4), one scipy.linalg.solve_banded step at
+    most: x is the unit vector start, or that step's result, whichever
+    first has a Rayleigh quotient theta meeting ground_state's bound
+    ||Bx - theta x|| <= eps = RESIDUAL_TOL ||B|| (max-row-sum norm); of
+    1,094 refinements surveyed (N = 1-128, omega_A/omega = 0.01-100,
+    F <= 10), 738 took the step and none needed a second.  The
     pair counts only if scipy.linalg.cholesky_banded factors
     B - (theta - eps) I, margin eps (Golub & Van Loan, Matrix Computations,
     section 4.3): then no eigenvalue lies below theta - eps - c, c the
@@ -409,8 +410,8 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
     of it take (8w + 3) D floats for D states, at most _BATCH_FLOATS, or
     the block is left to ARPACK before anything is allocated.
 
-    Returns (theta, x, eps); None when the block is not refined, the
-    iteration falls short, a shifted matrix is exactly singular, or the
+    Returns (theta, x, eps); None when the block is not refined, the step
+    falls short, the shifted matrix is exactly singular, or the
     factorization fails.
     """
     from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
@@ -433,17 +434,15 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
 
     x = start
     theta, residual = rayleigh(x)
-    solves = 0
-    while not residual <= bound:  # NaN included
-        if solves == _REFINE_SOLVES:
-            return None
+    if not residual <= bound:  # NaN included
         try:
             y = solve_banded((w, w), band, x, check_finite=False)
         except LinAlgError:
             return None
         x = y / np.linalg.norm(y)
         theta, residual = rayleigh(x)
-        solves += 1
+        if not residual <= bound:
+            return None
     upper = band[: w + 1]  # the rows i <= j: cholesky_banded's upper form
     upper[w] = diagonal - (theta - bound)
     try:
@@ -504,72 +503,44 @@ def _excitation_batch(entries: tuple, ks: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float, float]:
-    """Gershgorin lower bound of each excitation block, the tie window and the skip allowance.
+def _excitation_bounds(entries: tuple) -> tuple[np.ndarray, float]:
+    """Gershgorin lower bound of each excitation block, and the tie window.
 
     bounds[k] is the least, over the states of block k, of the diagonal
     entry minus the |couplings| of its row; no eigenvalue of the block lies
     below it (Golub & Van Loan, Matrix Computations, section 7.2).  The
     window is NEAR_DEGENERACY_FACTOR times norm, the max-row-sum norm of the
     whole matrix, which is the largest row sum over the blocks.
-
-    The allowance, (L + 2) eps norm for blocks of at most L states (eps =
-    2u = 2^-52), bounds to first order in u the roundings that separate a
-    computed bound from the computed lowest energy of its block, and those
-    of the skip test best + window + allowance, best the computed lowest
-    energy of a solved block:
-    - the bound d - (|c| + |c'|) rounds twice, by at most 2u times its row
-      sum: eps norm;
-    - np.linalg.eigvalsh (LAPACK dsyevd: its Householder stage applies no
-      reflection to a tridiagonal block, then dsterf's QL/QR) returns the
-      eigenvalues of the block T plus some E, ||E||_2 <= p(L) u ||T||_2,
-      with p a modestly growing function of the order (LAPACK Users'
-      Guide, 3rd ed., section 4.7, whose own estimates take p = 1); with
-      p(L) = 2L and ||T||_2 <= norm this is L eps norm;
-    - the skip test rounds twice, by at most 2u (|best| + window +
-      allowance), and no energy exceeds norm in size: eps norm.
-    So a block whose bound exceeds the computed threshold has a computed
-    lowest energy of at least best + window.
     """
     offsets, _, diagonal, _, radius = entries
     bounds = np.minimum.reduceat(diagonal - radius, offsets[:-1])
-    norm = float((np.abs(diagonal) + radius).max())
-    allowance = (int(np.diff(offsets).max()) + 2) * np.finfo(float).eps * norm
-    return bounds, NEAR_DEGENERACY_FACTOR * norm, allowance
+    return bounds, NEAR_DEGENERACY_FACTOR * float((np.abs(diagonal) + radius).max())
 
 
-def _excitation_ground(p: DickeParams, blocks: int) -> _Ground:
-    """Ground state under rwa over the excitation blocks k < blocks: the chosen block's rows and vector.
+def _excitation_ground(p: DickeParams, blocks: int, threshold: float) -> _Ground:
+    """Ground state under rwa over the excitation blocks k < blocks of bound at most threshold.
 
-    The block of least bound (_excitation_bounds) goes to np.linalg.eigvalsh
-    alone; its lowest energy, best, is at least the computed minimum.
-    Every other block whose bound is at most best plus the window plus the
-    allowance follows, in ascending k, in stacks of at most _BATCH_FLOATS
-    padded entries; the rest are skipped, since each has a computed lowest
-    energy of at least best + window, so it can neither be the minimum nor
-    tie with it.  eigvalsh splits a stack at its zero couplings, so a
-    block's energies do not depend on its stack: every returned bit, the
-    eigh of the chosen block included, equals solving every candidate
-    block.  Blocks past p.n_max + N do not exist, so blocks = p.n_max +
-    p.n_atoms + 1 takes every block; _excitation_report passes the reach
-    of _excitation_reach.  Blocks whose lowest energy lies within
+    The solved set, every such block (bounds of _excitation_bounds), is
+    fixed before any solve.  Its blocks go to np.linalg.eigvalsh in
+    ascending k, in stacks of at most _BATCH_FLOATS padded entries;
+    eigvalsh splits a stack at its zero couplings, so a block's energies
+    do not depend on its stack.  Blocks whose lowest energy lies within
     NEAR_DEGENERACY_FACTOR times the max-row-sum norm of the lowest are
-    tied, the tie going to the largest k and setting the flag.
+    tied, the tie going to the largest k and setting the flag, and the
+    chosen block's vector comes from np.linalg.eigh of that block alone.
+    _excitation_report passes the reach and threshold of _excitation_reach,
+    which leave out no block that could hold the minimum or tie with it;
+    blocks = p.n_max + p.n_atoms + 1 and threshold = inf solve every block.
     """
     entries = _excitation_entries(p)
-    bounds, window, allowance = _excitation_bounds(entries)
-    first = np.argmin(bounds[:blocks], keepdims=True)
-    lowest = [np.linalg.eigvalsh(_excitation_batch(entries, first))[:, 0]]
-    (best,) = lowest[0]
-    rest = np.flatnonzero(bounds[:blocks] <= best + window + allowance)
-    rest = rest[rest != first]
+    bounds, window = _excitation_bounds(entries)
+    solved = np.flatnonzero(bounds[:blocks] <= threshold)
     per_batch = max(1, _BATCH_FLOATS // (min(p.n_atoms, p.n_max) + 1) ** 2)
-    for start in range(0, rest.size, per_batch):
-        # each stack is freed before the next is built
-        lowest.append(np.linalg.eigvalsh(_excitation_batch(entries, rest[start : start + per_batch]))[:, 0])
-    solved, lowest = np.concatenate((first, rest)), np.concatenate(lowest)
+    stacks = np.split(solved, range(per_batch, solved.size, per_batch))
+    # each stack is freed before the next is built
+    lowest = np.concatenate([np.linalg.eigvalsh(_excitation_batch(entries, ks))[:, 0] for ks in stacks])
     tied = solved[lowest - lowest.min() < window]
-    k = int(tied.max())
+    k = int(tied[-1])
     (block,) = _excitation_batch(entries, np.array([k]))
     values, vectors = np.linalg.eigh(block)
     offsets, rows = entries[:2]
@@ -642,8 +613,8 @@ def meanfield_order_parameter(fom: float, omega: float, omega_a: float) -> float
     return fom * omega_a / (4.0 * omega) * (1.0 - 1.0 / fom**2)
 
 
-def _excitation_reach(p: DickeParams) -> int:
-    """Largest excitation number K whose block may hold the rwa ground state or tie with it.
+def _excitation_reach(p: DickeParams) -> tuple[int, float]:
+    """Largest excitation number K whose block may hold the rwa ground state or tie with it, and the threshold T.
 
     For every lam > 0, B'B >= 0 with B = sqrt(lam) a + S- / sqrt(lam) gives
     a S+ + a' S- >= -(lam a'a + S+ S- / lam) on every excitation block,
@@ -657,14 +628,24 @@ def _excitation_reach(p: DickeParams) -> int:
     least D(0, j) - omega (1 - theta) j over j <= min(k, N): past k = N, b_k
     grows linearly.  The ground energy is at most U, that of the mean-field
     product state: -omega_A N/2 up to F = 1, -omega_A N (F + 1/F)/4 beyond.
-    Block k is ruled out when b_k > U + 2 NEAR_DEGENERACY_FACTOR (M + |U|)
+    Block k is ruled out when b_k > T = U + 2 NEAR_DEGENERACY_FACTOR (M + |U|)
     for one of theta = 1 - 2^-i, i = 1 ... 52, where M = omega L +
     omega_A N/2 + s sqrt(L) (N + 1) bounds the max-row-sum norm of every
-    lattice within the dimension cap, whose n_max is at most L.  The
-    solve's tie window is at most half that margin; its skip allowance and
-    the roundings of U and of the bounds, a few eps times terms below
-    20 (M + |U|), stay far below the other half.  So no block past K holds
-    the minimum or ties with it.
+    lattice within the dimension cap, whose n_max is at most L.  Of the
+    blocks k <= K, the solve takes those whose Gershgorin bound is at most
+    T (_excitation_ground).
+
+    A block left out by either bound has its lowest energy above T, so its
+    computed one is at least T less the roundings; the computed minimum is
+    at most U plus them, as the ground state's block, k <= K, is
+    untruncated at the solve's n_max.  The roundings, with eps = 2^-52, are
+    eigvalsh's backward error on each side, at most 2048 eps M for blocks
+    of at most 2048 states (observables refuses N > 2047; LAPACK Users'
+    Guide, 3rd ed., section 4.7, with p(L) = 2L), and those of U, T, the
+    bounds and the tie test, a few eps times terms below 20 (M + |U|).  Less
+    the tie window, at most NEAR_DEGENERACY_FACTOR M, the margin T - U still
+    exceeds their sum by about four orders of magnitude, so no block left
+    out holds the minimum or ties with it.
     """
     n_atoms, omega, omega_a, fom = p.n_atoms, p.omega, p.omega_a, p.figure_of_merit
     upper = -0.5 * n_atoms * omega_a if fom <= 1.0 else -0.25 * n_atoms * omega_a * (fom + 1.0 / fom)
@@ -678,12 +659,12 @@ def _excitation_reach(p: DickeParams) -> int:
     bounds = slope * k + np.minimum.accumulate(diagonal - slope * j, axis=1)  # b_k, k = 0 ... N, a row per theta
     tail = float(np.min((threshold - bounds[:, -1:]) / slope))
     if tail >= 0.0:  # block N stands, and the blocks up to N + tail with it
-        return n_atoms + math.floor(tail)
-    return int(np.flatnonzero((bounds <= threshold).all(axis=0))[-1])
+        return n_atoms + math.floor(tail), threshold
+    return int(np.flatnonzero((bounds <= threshold).all(axis=0))[-1]), threshold
 
 
 def _excitation_report(p: DickeParams) -> GroundStateReport:
-    """_converged_ground under rwa: one solve over the blocks k <= K of _excitation_reach.
+    """_converged_ground under rwa: one solve over the blocks k <= K within the threshold of _excitation_reach.
 
     The solve, and its tie window, run at n_max = max(K, FOCK_SCHEDULE_START),
     where those blocks are untruncated.  The record's support is block k:
@@ -698,8 +679,8 @@ def _excitation_report(p: DickeParams) -> GroundStateReport:
     at n_max 343, 172,000 states, reported 512).  The tie window is the
     solve's too, taken at its n_max, not at the label.
     """
-    reach = _excitation_reach(p)
-    ground = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1)
+    reach, threshold = _excitation_reach(p)
+    ground = _excitation_ground(replace(p, n_max=max(reach, FOCK_SCHEDULE_START)), reach + 1, threshold)
     k = sum(divmod(int(ground.support[0]), p.n_atoms + 1))  # n + j of the block's first state
     n_max = max(FOCK_SCHEDULE_START, 1 << (k - 1).bit_length())  # the least FOCK_SCHEDULE_START 2^i >= k
     if k == n_max and ground.vec[-1] ** 2 >= TOP_POPULATION_TOL:  # the block's last state, n = k, j = 0

@@ -464,6 +464,26 @@ def test_usage_refusal_is_one_invalid_input_line(capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
 
 
+# negative values in exponent or list form, which argparse alone reads as options; None: a valid call
+NEGATIVE_VALUES = [
+    (["polarization", "--kM", "1e10"], "--kernel", "-0.5,0,0", None),
+    (["dicke-scan", "--N", "4", "--F", "1", "--omega-A", "1"], "--omega", "-1e-05", "omega must be from 1e-30 to 1e+50 rad/s, got -1e-05"),
+    (["dicke-scan", "--N", "4", "--resonant"], "--F", "-0.5:1:0.5", "fom grid value must be 0 or from 1e-40 to 1e+40, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("two_tokens", [True, False], ids=["flag-value", "flag=value"])
+@pytest.mark.parametrize("argv, flag, value, message", NEGATIVE_VALUES, ids=["kernel", "omega", "grid"])
+def test_negative_value_reaches_the_library(capsys, argv, flag, value, message, two_tokens):
+    code, out, err = run_cli(capsys, [*argv, *([flag, value] if two_tokens else [f"{flag}={value}"])])
+    if message is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["x_m"] == [-0.5, 0.0, 0.0]
+    else:
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"dipolegauge: invalid input: {message}"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", [name for name, _ in cli_commands(CONFIG_NAME)])
     def test_criterion_11_matches_golden_bytes(self, capsys, atoms_file, name):
@@ -544,7 +564,7 @@ def _optional(strategy):
 
 
 def _flag(name, values=FUZZ_NUMBERS):
-    # one token: argparse takes "-1e-05" after a flag for another option
+    # one token; test_negative_value_reaches_the_library covers the two-token spelling
     return values.map(lambda value: [f"{name}={value}"])
 
 

@@ -355,7 +355,7 @@ def all_blocks_ground(p):
     to the largest k, and eigh of the chosen block alone.
     """
     entries = dicke._excitation_entries(p)
-    _, window, _ = dicke._excitation_bounds(entries)
+    _, window = dicke._excitation_bounds(entries)
     lowest = np.linalg.eigvalsh(dicke._excitation_batch(entries, np.arange(p.n_max + p.n_atoms + 1)))[:, 0]
     tied = np.flatnonzero(lowest - lowest.min() < window)
     k = int(tied[-1])
@@ -366,7 +366,7 @@ def all_blocks_ground(p):
 
 def excitation_ground(p):
     """The rwa solve over every excitation block k = 0 ... n_max + N."""
-    return dicke._excitation_ground(p, p.n_max + p.n_atoms + 1)
+    return dicke._excitation_ground(p, p.n_max + p.n_atoms + 1, math.inf)
 
 
 def assert_same_ground(found, expected):
@@ -400,7 +400,7 @@ class TestExcitationBlocks:
             assert np.array_equal(padded[size:, size:], pad * np.eye(padded.shape[0] - size))
             assert not padded[size:, :size].any() and not padded[:size, size:].any()
             assert np.linalg.eigvalsh(block)[-1] <= pad + 1e-14 * abs(pad)
-        _, window, _ = dicke._excitation_bounds(entries)
+        _, window = dicke._excitation_bounds(entries)
         assert window == pytest.approx(dicke.NEAR_DEGENERACY_FACTOR * dicke._row_sum_norm(h), rel=1e-15)
 
     @given(
@@ -430,8 +430,6 @@ class TestExcitationBlocks:
         whole = excitation_ground(p)
         whole_vec = laid_out(whole, p)
         (k_whole,) = np.unique(excitation_diagonal(p)[whole_vec != 0.0])
-        bounds, window, allowance = dicke._excitation_bounds(dicke._excitation_entries(p))
-        needed = set(np.flatnonzero(bounds <= min(block_lowest(p)) + window + allowance).tolist())
         build, batches = dicke._excitation_batch, []
 
         def recording_build(entries, ks):
@@ -448,9 +446,7 @@ class TestExcitationBlocks:
             assert np.array_equal(laid_out(ground, p) != 0.0, whole_vec != 0.0)
             assert ground.near_degenerate == whole.near_degenerate
             *solved, (chosen, _) = batches
-            ks = sum((ks for ks, _ in solved), [])
-            assert len(ks) == len(set(ks))  # no block twice
-            assert needed <= set(ks)  # none that could hold the minimum or tie with it skipped
+            assert sum((ks for ks, _ in solved), []) == list(range(n_max + n_atoms + 1))  # each once, k ascending
             assert all(size <= max(floats, (min(n_atoms, n_max) + 1) ** 2) for _, size in solved)
             assert chosen == [k_whole]  # the chosen block last, on its own
 
@@ -476,63 +472,55 @@ class TestExcitationBlocks:
         p = params(n_atoms=n_atoms, fom=fom, rwa=True, n_max=n_max)
         expected = all_blocks_ground(p)
         assert expected.near_degenerate == (fom != 0.0)
-        assert_same_ground(excitation_ground(p), expected)
-        monkeypatch.setattr(dicke, "_BATCH_FLOATS", 1)  # one block a stack
-        assert_same_ground(excitation_ground(p), expected)
+        reach, threshold = dicke._excitation_reach(p)
+        assert reach <= n_max  # the blocks k <= K are untruncated
+        for floats in (dicke._BATCH_FLOATS, 1):  # then one block a stack
+            monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
+            assert_same_ground(excitation_ground(p), expected)
+            assert_same_ground(dicke._excitation_ground(p, reach + 1, threshold), expected)
 
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=1, max_value=30),
-        foms,
-        # on resonance every block has one diagonal value, and two-state blocks meet their bound exactly
-        st.just(1.0) | st.floats(min_value=0.3, max_value=3.0),
-    )
+    # F = 1 on resonance: k = 1 ties with the vacuum exactly
+    @given(st.integers(min_value=1, max_value=12), st.just(1.0) | foms, st.just(1.0) | st.floats(0.3, 3.0))
     @settings(max_examples=60, deadline=None)
-    def test_bounds_below_every_block_and_skips_past_the_window(self, n_atoms, n_max, fom, omega_a):
-        p = DickeParams.from_figure_of_merit(
-            n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True, n_max=n_max
-        )
-        lowest = block_lowest(p)
-        bounds, window, allowance = dicke._excitation_bounds(dicke._excitation_entries(p))
-        assert np.all(bounds - allowance <= lowest)  # the bound as the skip test takes it
-        build, solved = dicke._excitation_batch, set()
-
-        def recording_build(entries, ks):
-            solved.update(ks.tolist())
-            return build(entries, ks)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dicke, "_excitation_batch", recording_build)
-            energy = excitation_ground(p).energy
-        for k in set(range(len(lowest))) - solved:
-            assert lowest[k] >= energy + window
+    def test_threshold_leaves_out_no_block_that_can_win_or_tie(self, n_atoms, fom, omega_a):
+        p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True)
+        reach, threshold = dicke._excitation_reach(p)
+        q = replace(p, n_max=max(reach, dicke.FOCK_SCHEDULE_START))  # the solve's lattice, as in a scan row
+        ground = dicke._excitation_ground(q, reach + 1, threshold)
+        bounds, window = dicke._excitation_bounds(dicke._excitation_entries(q))
+        assert bounds[sum(divmod(int(ground.support[0]), n_atoms + 1))] <= threshold  # the chosen block's
+        lowest = block_lowest(q)[: reach + 1]
+        assert np.all(lowest[bounds[: reach + 1] > threshold] >= ground.energy + window)
+        assert_same_ground(ground, all_blocks_ground(q))
 
     # N = 2, F = 1.3: with one block a stack, a skip test against each new lowest energy
-    # would leave out a block that the least-bound block's energy keeps
+    # would leave out a block that the threshold keeps
     @pytest.mark.parametrize("n_atoms, fom, omega_a", [(2, 1.3, 1.0), (8, 10.0, 3.0), (32, 3.0, 1.0)])
     @pytest.mark.parametrize("floats", [1, dicke._BATCH_FLOATS])
-    def test_blocks_chosen_once_against_the_least_bound_block(self, monkeypatch, n_atoms, fom, omega_a, floats):
+    def test_blocks_within_the_threshold_solved_once(self, monkeypatch, n_atoms, fom, omega_a, floats):
         p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True)
-        blocks = dicke._excitation_reach(p) + 1
-        p = replace(p, n_max=max(blocks - 1, dicke.FOCK_SCHEDULE_START))
-        entries = dicke._excitation_entries(p)
-        bounds, window, allowance = dicke._excitation_bounds(entries)
-        bounds = bounds[:blocks]
-        first = int(np.argmin(bounds))
-        (best,) = np.linalg.eigvalsh(dicke._excitation_batch(entries, np.array([first])))[:, 0]
-        rest = [k for k in np.flatnonzero(bounds <= best + window + allowance).tolist() if k != first]
-        build, batches = dicke._excitation_batch, []
+        reach, threshold = dicke._excitation_reach(p)
+        p = replace(p, n_max=max(reach, dicke.FOCK_SCHEDULE_START))
+        bounds, _ = dicke._excitation_bounds(dicke._excitation_entries(p))
+        within = np.flatnonzero(bounds[: reach + 1] <= threshold).tolist()
+        build, eigvalsh, events = dicke._excitation_batch, np.linalg.eigvalsh, []
 
         def recording_build(entries, ks):
-            batches.append(ks.tolist())
+            events.append(ks.tolist())
             return build(entries, ks)
 
+        def recording_eigvalsh(batch):
+            events.append("eigvalsh")
+            return eigvalsh(batch)
+
         monkeypatch.setattr(dicke, "_excitation_batch", recording_build)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(dicke, "_BATCH_FLOATS", floats)
-        vec = laid_out(dicke._excitation_ground(p, blocks), p)
-        head, *stacks, chosen = batches
-        assert head == [first]
-        assert sum(stacks, []) == rest  # each once, k ascending
+        vec = laid_out(dicke._excitation_ground(p, reach + 1, threshold), p)
+        *solved, chosen = events
+        stacks = solved[::2]
+        assert solved[1::2] == ["eigvalsh"] * len(stacks)  # no eigvalsh before the first stack, one a stack
+        assert sum(stacks, []) == within  # each once, k ascending
         per_batch = max(1, floats // (min(p.n_atoms, p.n_max) + 1) ** 2)
         assert all(len(stack) <= per_batch for stack in stacks)
         assert chosen == [sum(divmod(int(np.argmax(np.abs(vec))), n_atoms + 1))]
@@ -569,9 +557,10 @@ class TestExcitationBlocks:
     def test_cap_corner_solve_within_batch_budget(self):
         p = params(n_atoms=499, fom=1.3, rwa=True, n_max=499)
         assert p.dimension == dicke.DEFAULT_DIMENSION_CAP
+        reach, threshold = dicke._excitation_reach(p)
         tracemalloc.start()
         try:
-            ground = excitation_ground(p)
+            ground = dicke._excitation_ground(p, reach + 1, threshold)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -607,10 +596,10 @@ class TestExcitationBlocks:
     @settings(max_examples=40, deadline=None)
     def test_reach_keeps_every_block_that_can_win_or_tie(self, n_atoms, fom, omega_a):
         p = DickeParams.from_figure_of_merit(n_atoms=n_atoms, fom=fom, omega=1.0, omega_a=omega_a, rwa=True)
-        reach = dicke._excitation_reach(p)
+        reach, _ = dicke._excitation_reach(p)
         q = replace(p, n_max=reach + n_atoms + 8)  # blocks up to n_max are untruncated
         lowest = block_lowest(q)[: q.n_max + 1]
-        _, window, _ = dicke._excitation_bounds(dicke._excitation_entries(q))
+        _, window = dicke._excitation_bounds(dicke._excitation_entries(q))
         assert np.all(lowest[reach + 1 :] >= lowest.min() + window)
         report = dicke._converged_ground(p)
         assert report.energy == pytest.approx(lowest.min(), rel=1e-12, abs=1e-12)
@@ -621,9 +610,9 @@ class TestExcitationBlocks:
         solved, solve = [], dicke._excitation_ground
         stacks, build = [], dicke._excitation_batch
 
-        def recording(p, blocks):
+        def recording(p, blocks, threshold):
             solved.append(p)
-            return solve(p, blocks)
+            return solve(p, blocks, threshold)
 
         def recording_build(entries, ks):
             stacks.append(ks.size)
@@ -637,8 +626,8 @@ class TestExcitationBlocks:
         assert replace(template, n_max=row.n_max).dimension > dicke.DEFAULT_DIMENSION_CAP
         (p,) = solved
         assert p.n_max == 343 and p.dimension <= dicke.DEFAULT_DIMENSION_CAP
-        # the first block alone, then stacks of 35, 35 and 8 blocks, then the chosen block
-        assert stacks == [1, 35, 35, 8, 1]
+        # the 82 blocks within the threshold in stacks of 35, 35 and 12, then the chosen block
+        assert stacks == [35, 35, 12, 1]
         printed = (row.energy, row.photon_fraction, row.inversion, row.sx2_fraction, row.parity)
         assert [repr(value) for value in printed] == [
             "-312.05228703421784", "0.37497809805144133", "-0.24972759704943734",
@@ -650,7 +639,7 @@ class TestExcitationBlocks:
         # block 4 by more than the tie window at the reported n_max 8 and by less than the
         # one at the solve's n_max K = 24, so the row is block 5's, marked near-degenerate
         p = DickeParams.from_figure_of_merit(n_atoms=2, fom=7.9686216213, omega=1.0, omega_a=1.0, rwa=True)
-        solve = replace(p, n_max=dicke._excitation_reach(p))
+        solve = replace(p, n_max=dicke._excitation_reach(p)[0])
         assert solve.n_max == 24
         lowest = block_lowest(solve)[: solve.n_max + 1]  # the untruncated blocks
         assert sorted(np.argsort(lowest)[:2]) == [4, 5]
@@ -666,7 +655,7 @@ class TestExcitationBlocks:
         # below F = 1 the bound rules out every block but k = 0; Gershgorin's
         # closed form would leave half the blocks, past the dimension cap at N = 1000
         p = DickeParams.from_figure_of_merit(n_atoms=1000, fom=fom, omega=1.0, omega_a=1.0, rwa=True)
-        assert dicke._excitation_reach(p) == 0
+        assert dicke._excitation_reach(p)[0] == 0
         (row,) = scan_coupling(replace(p, g_collective=0.0), [fom])
         assert row.error is None and row.n_max == dicke.FOCK_SCHEDULE_START
         assert (row.energy, row.photon_fraction, row.parity) == (-500.0, 0.0, 1.0)
