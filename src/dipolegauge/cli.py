@@ -301,12 +301,13 @@ def cmd_ensemble_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser, its subparsers too, that takes -1e-05, -0.5,0,0 or -0.5:1:0.5 after a flag for a value."""
+    """ArgumentParser, its subparsers too, that takes -1e-05, -0.5,0,0, -0.5:1:0.5 or -inf after a flag for a value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern takes only -123 and -1.5 for values, the rest for options
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern takes only -123 and -1.5 for values, the rest for options; -inf,
+        # -infinity and -nan, in any case, are values too, so that _finite_float refuses them
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -19,11 +19,16 @@ state on its block's basis indices, which report lays out for observables.
   resolves the near-degenerate doublet deep in the high-coupling phase
   deterministically.  Every truncation whose bits a row may report stays
   on ARPACK: a dense solve would change the last bits of every row.  The
+  even sector is always solved; the odd one only when a banded Cholesky
+  certificate (_certifies) cannot show its lowest level above the even
+  energy by the near-degeneracy window plus ARPACK's residual allowance,
+  which would fix the solve's outcome without it (_parity_solve).  The
   doubled truncation that only tests the walk's candidate is refined
-  instead, by banded inverse iteration from the candidate's sectors and a
-  banded Cholesky certificate (_refine, _refinement_accepts), and goes to
-  ARPACK when that does not show the candidate accepted, or when the band
-  is too wide (N above 128) or too large for _BATCH_FLOATS to refine.
+  instead, by banded inverse iteration from the candidate's sectors and
+  the same certificate (_refine, _refinement_accepts), and goes to ARPACK
+  when that does not show the candidate accepted.  Past _band's limits
+  (N above 128, or a band too large for _BATCH_FLOATS) nothing is
+  certified or refined, and both sectors of every truncation go to ARPACK.
 - rwa: the excitation number k = a'a + S_z + N/2, which refines parity
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
   tridiagonal: its rows of _row_entries, gathered once per solve into
@@ -47,8 +52,8 @@ state on its block's basis indices, which report lays out for observables.
   never the label.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians,
-ground_state, _refine and, for the Dicke coupling, scan_coupling, so
-importing this module and rwa scans load numpy alone.
+ground_state, _certifies, _refine and, for the Dicke coupling,
+scan_coupling, so importing this module and rwa scans load numpy alone.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ FRACTION_TOL = 1e-4
 TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
-_REFINE_MAX_BAND = 65  # widest half-bandwidth refined (N <= 128): past it the banded LU outgrows ARPACK
+_REFINE_MAX_BAND = 65  # widest half-bandwidth refined or certified (N <= 128): past it the banded LU outgrows ARPACK
 # No dense array allocated for a solve or a report exceeds this many floats
 # (32 MiB): a stack of padded excitation blocks (all 999 at N = n_max = 499
 # would take 2 GB), _refine's band and LU arrays together, a spin matrix.
@@ -378,6 +383,57 @@ def ground_state(h, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     return energy, _fix_sign(vec / np.linalg.norm(vec))
 
 
+def _band(block: sparse.csr_matrix) -> np.ndarray | None:
+    """A symmetric block in solve_banded's layout, band[w + i - j, j] = B[i, j]; None past the limits.
+
+    A block is banded only if its half-bandwidth w <= _REFINE_MAX_BAND,
+    w = ceil(N/2) + 1 for a parity sector: each banded solve costs O(w^2)
+    per state, ARPACK's matvecs O(1), and past N = 128 the refinement was
+    measured slower than ARPACK at small F (1.7 times at N = 256, F = 0.5;
+    at N = 499 and 944, F = 0.5, whole rows took 3.8 and 3.2 times as
+    long).  The band, solve_banded's (3w + 1)-row LU array and LAPACK's
+    Fortran-order copy of it take (8w + 3) D floats for D states, at most
+    _BATCH_FLOATS, or None is returned before anything is allocated.
+    """
+    dim = block.shape[0]
+    offset = np.repeat(np.arange(dim), np.diff(block.indptr)) - block.indices  # row - column
+    w = int(np.abs(offset).max(initial=0))
+    if w > _REFINE_MAX_BAND or (8 * w + 3) * dim > _BATCH_FLOATS:
+        return None
+    band = np.zeros((2 * w + 1, dim))
+    band[w + offset, block.indices] = block.data
+    return band
+
+
+def _certifies(band: np.ndarray | None, floor: float, norm: float) -> bool:
+    """Whether one banded Cholesky shows that no eigenvalue of B lies below floor; False for no band.
+
+    band is B in _band's layout, norm its max-row-sum norm; the upper half
+    of band is overwritten.  scipy.linalg.cholesky_banded factors
+    B - (floor + c) I for half-bandwidth w, with c = 2 (w + 1)(2w + 1) u norm
+    and u = 2^-52, twice the unit roundoff.  A factorization that runs to
+    completion is exact, R'R, for a matrix within c of the one factored
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5, with
+    inner products of w + 1 terms and each entry of |R'||R| below the
+    largest diagonal entry, 2 norm); R'R is positive semidefinite, so
+    B - floor I is too, and no eigenvalue of B lies below floor (Golub &
+    Van Loan, Matrix Computations, section 4.3).  c is under 4e-12 norm for
+    every band within _band's limits.
+    """
+    from scipy.linalg import LinAlgError, cholesky_banded
+
+    if band is None:
+        return False
+    w = band.shape[0] // 2
+    upper = band[: w + 1]  # the rows i <= j: cholesky_banded's upper form
+    upper[w] -= floor + 2.0 * (w + 1) * (2 * w + 1) * np.finfo(float).eps * norm
+    try:
+        cholesky_banded(upper, overwrite_ab=True, check_finite=False)
+    except LinAlgError:
+        return False
+    return True
+
+
 def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[float, np.ndarray, float] | None:
     """Certified lowest eigenpair of a symmetric banded block, refined from a known one; None if not shown.
 
@@ -387,45 +443,27 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
     first has a Rayleigh quotient theta meeting ground_state's bound
     ||Bx - theta x|| <= eps = RESIDUAL_TOL ||B|| (max-row-sum norm); of
     1,094 refinements surveyed (N = 1-128, omega_A/omega = 0.01-100,
-    F <= 10), 738 took the step and none needed a second.  The
-    pair counts only if scipy.linalg.cholesky_banded factors
-    B - (theta - eps) I, margin eps (Golub & Van Loan, Matrix Computations,
-    section 4.3): then no eigenvalue lies below theta - eps - c, c the
-    factorization's backward error, at most 2 (w + 1)(2w + 1) u ||B|| for
-    half-bandwidth w (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.5, with inner products of w + 1 terms and each entry
-    of |R'||R| below the largest diagonal entry, 2 ||B||), under 4e-12 ||B||
-    for the bands refined.  So theta lies within 2 eps above the lowest
-    eigenvalue, and an excited pair passes only if the two lowest
-    eigenvalues lie within 3 eps.  A true lowest pair passes: its theta
-    lies at most eps^2/(gap - eps) above the lowest eigenvalue
-    (Kato-Temple), and c is far below eps.
-
-    A block is refined only if w <= _REFINE_MAX_BAND, w = ceil(N/2) + 1
-    for a parity sector: each banded solve costs O(w^2) per state, ARPACK's
-    matvecs O(1), and past N = 128 the refinement was measured slower than
-    ARPACK at small F (1.7 times at N = 256, F = 0.5; at N = 499 and 944,
-    F = 0.5, whole rows took 3.8 and 3.2 times as long).  The band,
-    solve_banded's (3w + 1)-row LU array and LAPACK's Fortran-order copy
-    of it take (8w + 3) D floats for D states, at most _BATCH_FLOATS, or
-    the block is left to ARPACK before anything is allocated.
+    F <= 10), 738 took the step and none needed a second.  The pair
+    counts only if _certifies shows no eigenvalue below theta - eps, so
+    theta lies within eps above the lowest eigenvalue, and an excited pair
+    passes only if the two lowest eigenvalues lie within 2 eps.  A true
+    lowest pair passes: its theta lies at most eps^2/(gap - eps) above the
+    lowest eigenvalue (Kato-Temple), and the certificate's rounding
+    allowance is far below eps.  The block is refined only within _band's
+    limits.
 
     Returns (theta, x, eps); None when the block is not refined, the step
     falls short, the shifted matrix is exactly singular, or the
-    factorization fails.
+    certificate fails.
     """
-    from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
+    from scipy.linalg import LinAlgError, solve_banded
 
-    dim = block.shape[0]
-    offset = np.repeat(np.arange(dim), np.diff(block.indptr)) - block.indices  # row - column
-    w = int(np.abs(offset).max(initial=0))
-    if w > _REFINE_MAX_BAND or (8 * w + 3) * dim > _BATCH_FLOATS:
+    band = _band(block)
+    if band is None:
         return None
-    bound = RESIDUAL_TOL * _row_sum_norm(block)
-    band = np.zeros((2 * w + 1, dim))  # band[w + i - j, j] = B[i, j], solve_banded's layout
-    band[w + offset, block.indices] = block.data
-    diagonal = band[w].copy()
-    band[w] -= shift
+    norm = _row_sum_norm(block)
+    bound = RESIDUAL_TOL * norm
+    w = band.shape[0] // 2
 
     def rayleigh(x):
         bx = block @ x
@@ -435,21 +473,18 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
     x = start
     theta, residual = rayleigh(x)
     if not residual <= bound:  # NaN included
+        diagonal = band[w].copy()
+        band[w] -= shift
         try:
             y = solve_banded((w, w), band, x, check_finite=False)
         except LinAlgError:
             return None
+        band[w] = diagonal
         x = y / np.linalg.norm(y)
         theta, residual = rayleigh(x)
         if not residual <= bound:
             return None
-    upper = band[: w + 1]  # the rows i <= j: cholesky_banded's upper form
-    upper[w] = diagonal - (theta - bound)
-    try:
-        cholesky_banded(upper, overwrite_ab=True, check_finite=False)
-    except LinAlgError:
-        return None
-    return theta, x, bound
+    return (theta, x, bound) if _certifies(band, theta - bound, norm) else None
 
 
 def _excitation_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -548,18 +583,41 @@ def _excitation_ground(p: DickeParams, blocks: int, threshold: float) -> _Ground
 
 
 def _parity_solve(sectors: list) -> list[_Ground]:
-    """ground_state of each sector of sector_hamiltonians, even first, on its basis indices.
+    """ground_state of the even sector of sector_hamiltonians, and of the odd one unless shown above it.
 
-    Both records carry the doublet's flag, set when the sector energies lie
-    within NEAR_DEGENERACY_FACTOR times the matrix norm; the ground state
+    With window = NEAR_DEGENERACY_FACTOR times the matrix norm and
+    eps_odd = RESIDUAL_TOL ||B_odd|| (max-row-sum norms), _certifies tries
+    to show, without solving, that no eigenvalue of the odd block B_odd
+    lies below mu = E_even + window + 2 eps_odd.  If it does, ARPACK's odd
+    energy would have been at least mu - eps_odd > E_even + window: a Ritz
+    value whose unit vector has residual at most eps_odd, the bound
+    ground_state checks, lies within eps_odd of an eigenvalue (Bauer-Fike
+    for a symmetric matrix), so at most eps_odd below the lowest; the
+    other eps_odd covers ARPACK's vector being unit only to rounding, and
+    the rounding of mu.  The solve's outcome is then fixed without the odd
+    solve, which is skipped: one record, the even sector's, not
+    near-degenerate.  Otherwise, and always past _band's limits (N above
+    128), both sectors are solved, and both records carry the doublet's
+    flag, set when their energies lie within the window; the ground state
     is the lower one, ties going to even parity, as min takes the first.
+    Away from the doublet the odd sector lies about a level spacing above
+    the even one (Emary & Brandes, PRE 67, 066203 (2003)): on the
+    acceptance grid (N = 8-32, 26 F) 196 of 248 parity solves skip it.
+    A skipped odd solve cannot raise SolverConvergenceError.
     """
-    solved = [ground_state(block) for _, block in sectors]
-    # every row of H lies in one sector, so this is the norm of the whole matrix
-    scale = max(_row_sum_norm(block) for _, block in sectors)
-    (even_energy, _), (odd_energy, _) = solved
-    near_degenerate = abs(even_energy - odd_energy) < NEAR_DEGENERACY_FACTOR * scale
-    return [_Ground(energy, idx, vec, near_degenerate) for (idx, _), (energy, vec) in zip(sectors, solved)]
+    (even_idx, even), (odd_idx, odd) = sectors
+    # every row of H lies in one sector, so the larger norm is that of the whole matrix
+    even_norm, odd_norm = _row_sum_norm(even), _row_sum_norm(odd)
+    window = NEAR_DEGENERACY_FACTOR * max(even_norm, odd_norm)
+    even_energy, even_vec = ground_state(even)
+    if _certifies(_band(odd), even_energy + window + 2.0 * RESIDUAL_TOL * odd_norm, odd_norm):
+        return [_Ground(even_energy, even_idx, even_vec, False)]
+    odd_energy, odd_vec = ground_state(odd)
+    near_degenerate = abs(even_energy - odd_energy) < window
+    return [
+        _Ground(even_energy, even_idx, even_vec, near_degenerate),
+        _Ground(odd_energy, odd_idx, odd_vec, near_degenerate),
+    ]
 
 
 def observables(state: np.ndarray, p: DickeParams, energy: float, near_degenerate: bool = False) -> GroundStateReport:
@@ -692,16 +750,20 @@ def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: 
     """Whether the parity solve at p would accept a candidate of this photon fraction, shown without it.
 
     p is twice the walk's candidate truncation, sectors its
-    sector_hamiltonians, grounds the candidate's two records (_parity_solve).
-    Each block B is refined (_refine) from the candidate's vector of that
-    sector padded with zeros, the photon-major order putting the
-    candidate's states first, shifted to its energy; the refined pairs are
-    records too, near-degenerate when their order is not shown (below).
-    True means the exact solve's fraction lies within FRACTION_TOL of
-    fraction too; False leaves the decision to the exact solve.  What this
-    cannot foresee is that solve failing its own residual check: where
-    ground_state at p would raise SolverConvergenceError, an acceptance
-    here returns the candidate's row instead of that error row.
+    sector_hamiltonians, grounds the candidate's records (_parity_solve):
+    both sectors', or the even one's alone when the odd sector was shown to
+    lie above it.  Each sector with a record, block B, is refined (_refine)
+    from the candidate's vector of that sector padded with zeros, the
+    photon-major order putting the candidate's states first, shifted to
+    its energy; the refined pairs are records too.  An odd sector without
+    a record is not refined: _certifies must instead show that it has no
+    eigenvalue below theta_even + 2 (eps_even + eps_odd), or the verdict
+    is False.  True means the exact solve's fraction lies within
+    FRACTION_TOL of fraction too; False leaves the decision to the exact
+    solve.  What this cannot foresee is that solve failing its own
+    residual check: where ground_state at p would raise
+    SolverConvergenceError, an acceptance here returns the candidate's
+    row instead of that error row.
 
     With eps = RESIDUAL_TOL ||B||, M = p.n_max, N = p.n_atoms, lambda_1 <
     lambda_2 the two lowest eigenvalues of B and u its unit ground vector,
@@ -711,16 +773,19 @@ def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: 
 
     for each sector whose fraction is tested.  The condition is assumed,
     not checked at run time; it asks for at least 10^4 eps (M >= 16 and
-    N <= 128, _refine's band limit), far past the 3 eps within which
-    _refine could certify an excited pair.  Each refined energy lies within 2 eps
-    above lambda_1, and ground_state's within eps (its residual bound, and
-    its contract that the pair is the lowest).  So when the refined
-    energies differ by more than 2 (eps_even + eps_odd), the exact ones
-    are ordered alike and only the lower sector's fraction is tested;
-    otherwise both are, and either choice passes.  Each of the two unit
-    vectors y, refined and exact, has residual at most eps and Rayleigh
-    quotient rho <= lambda_1 + eps (Kato-Temple for the refined one), so
-    with y = cos(phi) u + sin(phi) v, v orthogonal to u, ||By - rho y|| >=
+    N <= 128, _band's limit), far past the 2 eps within which
+    _refine could certify an excited pair.  Each refined energy lies
+    within eps above lambda_1, and ground_state's within eps of it (its
+    residual bound, and its contract that the pair is the lowest).  So
+    when the refined energies differ by more than 2 (eps_even + eps_odd),
+    the exact ones are ordered alike and only the lower sector's fraction
+    is tested; otherwise both are, and either choice passes.  An odd
+    sector certified as above has its exact energy at least
+    theta_even + 2 eps_even + eps_odd, above the exact even one, so the
+    even sector alone is tested.  Each of the two unit vectors y, refined
+    and exact, has residual at most eps and Rayleigh quotient
+    rho <= lambda_1 + eps (Kato-Temple for the refined one), so with
+    y = cos(phi) u + sin(phi) v, v orthogonal to u, ||By - rho y|| >=
     sin(phi) (lambda_2 - rho) gives sin(phi) <= eps/(gap - eps) (Davis &
     Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).  y'(a'a)y/N moves from u's by
     at most sin(phi) M/N, as a'a - M/2 has norm M/2 and yy' - uu' trace
@@ -729,18 +794,26 @@ def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: 
     below 1e-8, so a refined fraction within FRACTION_TOL/2 of fraction
     puts the exact one within FRACTION_TOL.
     """
-    pairs = []
-    for (idx, block), ground in zip(sectors, grounds):
+    refined, bounds = [], []
+    for (idx, block), ground in zip(sectors, grounds):  # the even sector alone when grounds holds one record
         start = np.zeros(idx.size)
         start[: ground.vec.size] = ground.vec
         pair = _refine(block, start, ground.energy)
         if pair is None:
             return False
-        pairs.append(pair)
-    (even_energy, _, even_bound), (odd_energy, _, odd_bound) = pairs
-    near_degenerate = abs(even_energy - odd_energy) <= 2.0 * (even_bound + odd_bound)
-    refined = [_Ground(energy, idx, x, near_degenerate) for (idx, _), (energy, x, _) in zip(sectors, pairs)]
-    tested = refined if near_degenerate else [min(refined, key=operator.attrgetter("energy"))]
+        theta, x, bound = pair
+        refined.append(_Ground(theta, idx, x, False))  # the flag is not read: only fractions are
+        bounds.append(bound)
+    if len(refined) == 1:
+        odd = sectors[1][1]
+        odd_norm = _row_sum_norm(odd)
+        if not _certifies(_band(odd), refined[0].energy + 2.0 * (bounds[0] + RESIDUAL_TOL * odd_norm), odd_norm):
+            return False
+        tested = refined
+    elif abs(refined[0].energy - refined[1].energy) <= 2.0 * sum(bounds):  # order not shown
+        tested = refined
+    else:
+        tested = [min(refined, key=operator.attrgetter("energy"))]
     return all(abs(ground.report(p).photon_fraction - fraction) < 0.5 * FRACTION_TOL for ground in tested)
 
 
@@ -753,7 +826,8 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
     weight is below TOP_POPULATION_TOL and whose photon fraction moves by
     less than FRACTION_TOL when the truncation is doubled; gives up past
     FOCK_SCHEDULE_CAP.  Every truncation it may report is solved exactly
-    (_parity_solve, ARPACK) and reported from its lower record; the doubled
+    (_parity_solve: ARPACK, on the odd sector only when it is not shown
+    above the even one) and reported from its lower record; the doubled
     one that tests a candidate is first refined from the candidate's own
     records (_refinement_accepts), and solved exactly only when that does
     not show acceptance.  So the rows are those of exact solves throughout,

@@ -464,24 +464,38 @@ def test_usage_refusal_is_one_invalid_input_line(capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith(f"dipolegauge: invalid input: {message}")
 
 
-# negative values in exponent or list form, which argparse alone reads as options; None: a valid call
+# negative values in exponent or list form, and -inf, -infinity and -nan in any case, which argparse
+# alone reads as options; the last stderr line of the refusal, from the library or from the parser's
+# finite-float check, or None for a valid call
+NEGATIVE_OMEGA = ["dicke-scan", "--N", "4", "--F", "1", "--omega-A", "1"]
 NEGATIVE_VALUES = [
     (["polarization", "--kM", "1e10"], "--kernel", "-0.5,0,0", None),
-    (["dicke-scan", "--N", "4", "--F", "1", "--omega-A", "1"], "--omega", "-1e-05", "omega must be from 1e-30 to 1e+50 rad/s, got -1e-05"),
-    (["dicke-scan", "--N", "4", "--resonant"], "--F", "-0.5:1:0.5", "fom grid value must be 0 or from 1e-40 to 1e+40, got -0.5"),
+    (NEGATIVE_OMEGA, "--omega", "-1e-05", "dipolegauge: invalid input: omega must be from 1e-30 to 1e+50 rad/s, got -1e-05"),
+    (["dicke-scan", "--N", "4", "--resonant"], "--F", "-0.5:1:0.5", "dipolegauge: invalid input: fom grid value must be 0 or from 1e-40 to 1e+40, got -0.5"),
+    *[
+        (NEGATIVE_OMEGA, "--omega", value, f"dipolegauge dicke-scan: error: argument --omega: expected a finite number, got {value!r}")
+        for value in ("-inf", "-NaN", "-Infinity", "-INF")
+    ],
 ]
 
 
 @pytest.mark.parametrize("two_tokens", [True, False], ids=["flag-value", "flag=value"])
-@pytest.mark.parametrize("argv, flag, value, message", NEGATIVE_VALUES, ids=["kernel", "omega", "grid"])
+@pytest.mark.parametrize(
+    "argv, flag, value, message", NEGATIVE_VALUES, ids=["kernel", "omega", "grid", "-inf", "-NaN", "-Infinity", "-INF"]
+)
 def test_negative_value_reaches_the_library(capsys, argv, flag, value, message, two_tokens):
-    code, out, err = run_cli(capsys, [*argv, *([flag, value] if two_tokens else [f"{flag}={value}"])])
+    argv = [*argv, *([flag, value] if two_tokens else [f"{flag}={value}"])]
     if message is None:
+        code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["x_m"] == [-0.5, 0.0, 0.0]
-    else:
+    elif message.startswith("dipolegauge: invalid input: "):
+        code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"dipolegauge: invalid input: {message}"]
+        assert err.splitlines() == [message]
+    else:
+        code, err = rejected_by_parser(capsys, argv)
+        assert code == 2 and err.splitlines()[-1] == message
 
 
 class TestDeterminism:
@@ -564,8 +578,8 @@ def _optional(strategy):
 
 
 def _flag(name, values=FUZZ_NUMBERS):
-    # one token; test_negative_value_reaches_the_library covers the two-token spelling
-    return values.map(lambda value: [f"{name}={value}"])
+    # either spelling, --flag=value or --flag value, which must parse alike
+    return st.tuples(values, st.booleans()).map(lambda draw: [f"{name}={draw[0]}"] if draw[1] else [name, draw[0]])
 
 
 @st.composite

@@ -879,9 +879,10 @@ class TestRefinement:
         monkeypatch.setattr(dicke, "ground_state", counting_solve)
         assert dicke._converged_ground(p) == expected
         assert refused and all(refused)
-        # ARPACK solved both sectors of every truncation, the last included
+        # ARPACK solved the even sector, ceil(D/2) of its D states, of every truncation, the last
+        # included; each odd sector was shown to lie above it and skipped
         tried = tried_truncations(expected.converged_n_max)
-        assert [a + b for a, b in zip(solved[::2], solved[1::2])] == [(n + 1) * (p.n_atoms + 1) for n in tried]
+        assert solved == [((n + 1) * (p.n_atoms + 1) + 1) // 2 for n in tried]
 
     # omega_A/omega from 1e-2 to 1e2, where the walk also fails (N = 12 at F = 8, ratio 10, and F = 2, ratio 100):
     # both walks must fail alike
@@ -934,6 +935,86 @@ class TestRefinement:
         rows = scan_coupling(template, grid)
         monkeypatch.setattr(dicke, "_converged_ground", parity_walk)
         assert repr(rows) == repr(scan_coupling(template, grid))
+
+
+def both_sector_solve(sectors):
+    """The parity solve with ARPACK on both sectors: records flagged when their energies lie within the window."""
+    solved = [dicke.ground_state(block) for _, block in sectors]
+    window = dicke.NEAR_DEGENERACY_FACTOR * max(dicke._row_sum_norm(block) for _, block in sectors)
+    (even_energy, _), (odd_energy, _) = solved
+    near_degenerate = abs(even_energy - odd_energy) < window
+    return [dicke._Ground(energy, idx, vec, near_degenerate) for (idx, _), (energy, vec) in zip(sectors, solved)]
+
+
+class TestOddSectorCertificate:
+    # omega_A/omega from 1e-2 to 1e2 and truncations to 64, the odd sector's lowest level from dense eigvalsh
+    @given(
+        st.integers(min_value=1, max_value=12),
+        strong_foms,
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.sampled_from([8, 16, 32, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_odd_sector_skipped_only_above_the_window(self, n_atoms, fom, log_ratio, n_max):
+        p = DickeParams.from_figure_of_merit(n_atoms, fom, 1.0, 10.0**log_ratio, n_max=n_max)
+        sectors = sector_hamiltonians(p)
+        found, expected = dicke._parity_solve(sectors), both_sector_solve(sectors)
+        if len(found) == 1:
+            window = dicke.NEAR_DEGENERACY_FACTOR * max(dicke._row_sum_norm(block) for _, block in sectors)
+            assert np.linalg.eigvalsh(sectors[1][1].toarray())[0] > found[0].energy + window
+            assert not expected[0].near_degenerate and expected[0].energy < expected[1].energy
+            expected = expected[:1]
+        assert len(found) == len(expected)
+        for record, oracle in zip(found, expected):
+            assert_same_ground(record, oracle)
+
+    # even sector diag(0, 1), odd diag(level, 1), both of norm 1, so window = NEAR_DEGENERACY_FACTOR
+    # and eps = RESIDUAL_TOL; the odd solve returns its level 0.9 eps low, as ground_state's residual
+    # bound allows.  A level within the window, or above it by less than the allowance, must be solved:
+    # the records are then flagged, and skipping the odd solve would drop the flag.
+    @pytest.mark.parametrize(
+        "level",
+        [0.5 * dicke.NEAR_DEGENERACY_FACTOR, dicke.NEAR_DEGENERACY_FACTOR + 0.5 * dicke.RESIDUAL_TOL],
+        ids=["window", "allowance"],
+    )
+    def test_odd_level_within_window_and_allowance_solved(self, monkeypatch, level):
+        odd = sparse.csr_matrix(np.diag([level, 1.0]))
+        sectors = [(np.array([0, 2]), sparse.csr_matrix(np.diag([0.0, 1.0]))), (np.array([1, 3]), odd)]
+        solve = dicke.ground_state
+
+        def low_ritz_value(h, *args, **kwargs):
+            energy, vec = solve(h, *args, **kwargs)
+            return (energy - 0.9 * dicke.RESIDUAL_TOL if h is odd else energy), vec
+
+        monkeypatch.setattr(dicke, "ground_state", low_ritz_value)
+        found, expected = dicke._parity_solve(sectors), both_sector_solve(sectors)
+        assert len(found) == 2 and all(record.near_degenerate for record in found)
+        for record, oracle in zip(found, expected):
+            assert_same_ground(record, oracle)
+
+    def test_doublet_solves_both_sectors(self):
+        # the superradiant doublet, its levels 6.5e-8 apart, far within the window (about 1.5e-6)
+        p = params(n_atoms=16, fom=2.5, n_max=96)
+        sectors = sector_hamiltonians(p)
+        found = dicke._parity_solve(sectors)
+        assert len(found) == 2 and found[0].near_degenerate
+        for record, oracle in zip(found, both_sector_solve(sectors)):
+            assert_same_ground(record, oracle)
+
+    def test_refinement_without_the_odd_record_certifies_the_odd_sector(self):
+        # N = 16, F = 2.5: the candidate at n_max 64 verified at 128, where the doublet's levels lie
+        # within 2 (eps_even + eps_odd) of each other; with both records the verification accepts,
+        # with the even one alone the odd sector cannot be shown above it, so it refuses
+        p = params(n_atoms=16, fom=2.5, n_max=128)
+        candidate = replace(p, n_max=64)
+        grounds = dicke._parity_solve(sector_hamiltonians(candidate))
+        fraction = min(grounds, key=lambda ground: ground.energy).report(candidate).photon_fraction
+        sectors = sector_hamiltonians(p)
+        even, odd = (np.linalg.eigvalsh(block.toarray())[0] for _, block in sectors)
+        eps = [dicke.RESIDUAL_TOL * dicke._row_sum_norm(block) for _, block in sectors]
+        assert len(grounds) == 2 and abs(odd - even) < 2.0 * sum(eps)
+        assert dicke._refinement_accepts(p, sectors, grounds, fraction)
+        assert not dicke._refinement_accepts(p, sectors, grounds[:1], fraction)
 
 
 @pytest.fixture(scope="module")
@@ -1213,10 +1294,9 @@ class TestScan:
         tried = tried_truncations(row.n_max)
         assert len(tried) > 2
         assert built == tried
-        # ARPACK solves both sectors of each truncation but the last, which is refined from the accepted one
-        assert [a + b for a, b in zip(solved[::2], solved[1::2])] == [
-            (n + 1) * (template.n_atoms + 1) for n in tried[:-1]
-        ]
+        # ARPACK solves the even sector, ceil(D/2) of its D states, of each truncation but the last,
+        # which is refined from the accepted one; each odd sector was shown to lie above it and skipped
+        assert solved == [((n + 1) * (template.n_atoms + 1) + 1) // 2 for n in tried[:-1]]
 
     @pytest.mark.parametrize("workers", [math.nan, 2.0, 1.5])
     def test_non_integer_worker_count_refused(self, workers):
