@@ -97,21 +97,32 @@ def _cutoff_from_args(args) -> float:
     return _require("cutoff wavenumber", value, "wavenumber")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float option: a number that is neither infinite nor NaN."""
+def _finite_float(text: str, name: str) -> float:
+    """text as a number that is neither infinite nor NaN; ValueError naming name otherwise."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"{name} must be a finite number, got {text!r}")
     return value
+
+
+class _FiniteFloat(argparse.Action):
+    """Action of every float option: stores _finite_float of its value.
+
+    Its ValueError leaves parse_args, which turns only the type's errors
+    into usage refusals, so main prints it as one invalid-input line.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _finite_float(values, option_string))
 
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        numbers = [_finite_float(part) for part in text.split(":")]
-    except argparse.ArgumentTypeError:
+        numbers = [_finite_float(part, "grid value") for part in text.split(":")]
+    except ValueError:
         numbers = []
     if len(numbers) == 1:
         return numbers
@@ -306,7 +317,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own pattern takes only -123 and -1.5 for values, the rest for options; -inf,
-        # -infinity and -nan, in any case, are values too, so that _finite_float refuses them
+        # -infinity and -nan, in any case, are values too, so that _FiniteFloat refuses them
         self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
@@ -316,8 +327,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cutoff(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kM", type=_finite_float, help="cutoff wavenumber (1/m)")
-    parser.add_argument("--kM-inv-bohr", dest="kM_inv_bohr", type=_finite_float, help="cutoff wavenumber in units of 1/a0")
+    parser.add_argument("--kM", action=_FiniteFloat, help="cutoff wavenumber (1/m)")
+    parser.add_argument("--kM-inv-bohr", dest="kM_inv_bohr", action=_FiniteFloat, help="cutoff wavenumber in units of 1/a0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutoff-window", help="admissibility window for the cutoff wavenumber")
     _add_cutoff(p)
     p.add_argument("--species", help="species name fixing the radiation wavenumber")
-    p.add_argument("--k-radiation", dest="k_radiation", type=_finite_float, help="radiation wavenumber (1/m)")
+    p.add_argument("--k-radiation", dest="k_radiation", action=_FiniteFloat, help="radiation wavenumber (1/m)")
     p.add_argument("--registry", help="species registry file (CSV or JSON)")
-    p.add_argument("--lower-threshold", type=_finite_float, default=0.01)
-    p.add_argument("--upper-threshold", type=_finite_float, default=0.15)
-    p.add_argument("--tol", type=_finite_float, default=1e-9, help="quadrature tolerance for the shift check")
+    p.add_argument("--lower-threshold", action=_FiniteFloat, default=0.01)
+    p.add_argument("--upper-threshold", action=_FiniteFloat, default=0.15)
+    p.add_argument("--tol", action=_FiniteFloat, default=1e-9, help="quadrature tolerance for the shift check")
     _add_common(p)
     p.set_defaults(func=cmd_cutoff_window)
 
@@ -347,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="atom count")
     p.add_argument("--F", required=True, help="figure-of-merit grid VALUE or START:STOP:STEP")
     p.add_argument("--resonant", action="store_true", help="mode frequency equal to the atomic one")
-    p.add_argument("--omega", type=_finite_float, help="mode frequency (rad/s)")
-    p.add_argument("--omega-A", dest="omega_A", type=_finite_float, help="atomic frequency (rad/s)")
+    p.add_argument("--omega", action=_FiniteFloat, help="mode frequency (rad/s)")
+    p.add_argument("--omega-A", dest="omega_A", action=_FiniteFloat, help="atomic frequency (rad/s)")
     p.add_argument("--rwa", action="store_true", help="number-conserving coupling")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for grid points (at least 1)")
     _add_common(p)
@@ -356,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarization", help="kernel and envelope values")
     _add_cutoff(p)
-    p.add_argument("--r", type=_finite_float, help="distance (m)")
+    p.add_argument("--r", action=_FiniteFloat, help="distance (m)")
     p.add_argument("--envelope", action="store_true", help="radial envelope at --r")
-    p.add_argument("--suppression", type=_finite_float, metavar="K", help="filter value at wavenumber K (1/m)")
+    p.add_argument("--suppression", action=_FiniteFloat, metavar="K", help="filter value at wavenumber K (1/m)")
     p.add_argument("--kernel", metavar="X,Y,Z", help="kernel at a comma-separated point (m)")
     _add_common(p)
     p.set_defaults(func=cmd_polarization)
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     p.add_argument("--config", required=True, help="configuration JSON")
     p.add_argument("--overlap", type=int, nargs=2, metavar=("I", "J"), help="overlap report for one pair")
-    p.add_argument("--tol", type=_finite_float, default=1e-5, help="overlap accuracy required relative to the bound")
+    p.add_argument("--tol", action=_FiniteFloat, default=1e-5, help="overlap accuracy required relative to the bound")
     _add_common(p)
     p.set_defaults(func=cmd_ensemble_check)
 
@@ -375,9 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"dipolegauge: invalid input: {exc}", file=sys.stderr)

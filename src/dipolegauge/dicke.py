@@ -26,9 +26,14 @@ state on its block's basis indices, which report lays out for observables.
   doubled truncation that only tests the walk's candidate is refined
   instead, by banded inverse iteration from the candidate's sectors and
   the same certificate (_refine, _refinement_accepts), and goes to ARPACK
-  when that does not show the candidate accepted.  Past _band's limits
-  (N above 128, or a band too large for _BATCH_FLOATS) nothing is
-  certified or refined, and both sectors of every truncation go to ARPACK.
+  when that does not show the candidate accepted.  The walk starts at
+  p.n_max, in a scan the truncation the row before reported: it solves
+  that one first and shows each smaller one unsettled, its top photon
+  layer holding at least TOP_POPULATION_TOL of the weight, without ARPACK
+  (_unsettled_bound, _shown_unsettled): below the start, ARPACK solves
+  only the truncations not shown.  Past _band's limits (N above 128, or
+  a band too large for _BATCH_FLOATS) nothing is certified or refined,
+  and both sectors of every truncation go to ARPACK.
 - rwa: the excitation number k = a'a + S_z + N/2, which refines parity
   ((-1)^k).  Block k holds at most min(N, n_max) + 1 states and is
   tridiagonal: its rows of _row_entries, gathered once per solve into
@@ -52,7 +57,7 @@ state on its block's basis indices, which report lays out for observables.
   never the label.
 
 scipy is imported only inside build_hamiltonian, sector_hamiltonians,
-ground_state, _certifies, _refine and, for the Dicke coupling,
+ground_state, _certifies, _refine, _unsettled_bound and, for the Dicke coupling,
 scan_coupling, so importing this module and rwa scans load numpy alone.
 """
 
@@ -81,6 +86,9 @@ TOP_POPULATION_TOL = 1e-8
 NEAR_DEGENERACY_FACTOR = 1e-8
 RESIDUAL_TOL = 1e-10  # eigensolver residual relative to the max-row-sum norm
 _REFINE_MAX_BAND = 65  # widest half-bandwidth refined or certified (N <= 128): past it the banded LU outgrows ARPACK
+# Inverse-iteration steps before a truncation is shown unsettled: on the acceptance
+# grid 1 and 2 steps leave 13 and 5 of its 134 unsettled truncations unshown, 3 none.
+_UNSETTLED_STEPS = 3
 # No dense array allocated for a solve or a report exceeds this many floats
 # (32 MiB): a stack of padded excitation blocks (all 999 at N = n_max = 499
 # would take 2 GB), _refine's band and LU arrays together, a spin matrix.
@@ -134,7 +142,9 @@ class DickeParams:
     omega_a: float  # atomic frequency (rad/s)
     g_collective: float  # collective coupling (rad/s)
     rwa: bool = False  # number-conserving coupling when True
-    n_max: int = FOCK_SCHEDULE_START  # Fock truncation (highest photon number kept)
+    # Fock truncation (highest photon number kept).  The Dicke coupling's walk
+    # solves this one first (rounded down to its schedule); its rows do not depend on it.
+    n_max: int = FOCK_SCHEDULE_START
 
     def __post_init__(self):
         _require_count("atom count", self.n_atoms)
@@ -487,6 +497,93 @@ def _refine(block: sparse.csr_matrix, start: np.ndarray, shift: float) -> tuple[
     return (theta, x, bound) if _certifies(band, theta - bound, norm) else None
 
 
+def _unsettled_bound(block: sparse.csr_matrix, top: int, start: np.ndarray, shift: float) -> float | None:
+    """An upper bound on ground_state's energy for a sector, if shown that its vector is unsettled; None if not shown.
+
+    Unsettled: the vector's top photon layer holds at least TOP_POPULATION_TOL
+    of the weight, as observables rounds it.  B is the sector, its first top
+    states those below the top layer (photon-major order); B' is that
+    leading block and D the top layer's block, diagonal because the
+    coupling moves n by +/-1, with largest entry d_max.  Let y = (u, v) be
+    any unit vector with ||By - theta y|| <= eps = RESIDUAL_TOL ||B|| (max-row-
+    sum norm) and theta <= lambda_1(B) + eps, ground_state's contract, and t
+    = ||v||^2.  The two block rows of the residual, taken against u and v
+    and subtracted, with Cauchy-Schwarz on the residual terms, give
+
+        (lambda_1(B') - theta)(1 - t) <= t (d_max - theta) + eps,
+
+    and |theta| <= ||B|| + eps.  So if t < tau, then lambda_1(B') - theta <
+    Delta = (tau (|d_max| + ||B|| + eps) + eps)/(1 - tau), and a certificate
+    (_certifies) that no eigenvalue of B' lies below rho + eps + Delta, with
+    rho >= lambda_1(B) and so theta <= rho + eps, proves t >= tau.  tau is
+    TOP_POPULATION_TOL (1 + 2^-20): ground_state's vector is unit to
+    rounding and observables sums at most 2048 of its squared amplitudes,
+    so the top weight it reports is t to a relative 2^-30 and still at
+    least TOP_POPULATION_TOL.
+
+    rho is the Rayleigh quotient of x plus its rounding bound (D + 5) 2^-52
+    ||B|| for D states (five entries a row), after _UNSETTLED_STEPS steps of
+    inverse iteration from start, a larger truncation's vector cut to this
+    sector, with one scipy.linalg.cholesky_banded factor of B - shift I.  A
+    factor that exists shows shift below lambda_1(B), so the iteration
+    converges to the lowest level, never to an excited one; a shift below a
+    larger truncation's energy less its eps lies below its lowest eigenvalue
+    and, B being a leading block of that sector, below lambda_1(B)
+    (interlacing).  Returns rho + eps, at least ground_state's energy;
+    None past _band's limits, for no factor, or when the certificate fails.
+    """
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+
+    band = _band(block)
+    if band is None:
+        return None
+    w = band.shape[0] // 2
+    upper = band[: w + 1].copy()
+    upper[w] -= shift
+    try:
+        factor = cholesky_banded(upper, overwrite_ab=True, check_finite=False)
+    except LinAlgError:
+        return None
+    x = start
+    for _ in range(_UNSETTLED_STEPS):
+        x = cho_solve_banded((factor, False), x, check_finite=False)
+        x /= np.linalg.norm(x)
+    norm = _row_sum_norm(block)
+    eps = RESIDUAL_TOL * norm
+    rho = float(x @ (block @ x)) + (x.size + 5) * np.finfo(float).eps * norm
+    tau = TOP_POPULATION_TOL * (1.0 + 2.0**-20)
+    delta = (tau * (abs(float(band[w, top:].max())) + norm + eps) + eps) / (1.0 - tau)
+    return rho + eps if _certifies(band[:, :top], rho + eps + delta, norm) else None
+
+
+def _shown_unsettled(p: DickeParams, sectors: list, grounds: list, shifts: list) -> bool:
+    """Whether the parity solve at p is shown to report an unsettled truncation, without solving it.
+
+    sectors are p's sector_hamiltonians, grounds a larger truncation's
+    records (_parity_solve) and shifts their energies less twice their eps.
+    With both records, both sectors must be shown unsettled
+    (_unsettled_bound), so either may be reported.  With the even record
+    alone the even sector must be, and the odd sector must have no
+    eigenvalue below rho_even + eps_even + window + 2 eps_odd: _parity_solve's
+    own skip test at an upper bound of its even energy, which puts its odd
+    energy, solved or not, above the even one by more than the window, so
+    the even record is reported.
+    """
+    top = p.n_max * (p.n_atoms + 1)  # the first basis index of the top layer
+    bounds = [
+        _unsettled_bound(block, int(np.searchsorted(idx, top)), ground.vec[: idx.size], shift)
+        for (idx, block), ground, shift in zip(sectors, grounds, shifts)  # the even sector alone for one record
+    ]
+    if None in bounds:
+        return False
+    if len(grounds) == 2:
+        return True
+    (_, even), (_, odd) = sectors
+    odd_norm = _row_sum_norm(odd)
+    window = NEAR_DEGENERACY_FACTOR * max(_row_sum_norm(even), odd_norm)
+    return _certifies(_band(odd), bounds[0] + window + 2.0 * RESIDUAL_TOL * odd_norm, odd_norm)
+
+
 def _excitation_entries(p: DickeParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block offsets, and the basis row, diagonal, coupling and radius of every state, block by block.
 
@@ -817,6 +914,32 @@ def _refinement_accepts(p: DickeParams, sectors: list, grounds: list, fraction: 
     return all(abs(ground.report(p).photon_fraction - fraction) < 0.5 * FRACTION_TOL for ground in tested)
 
 
+def _start_records(p: DickeParams, start: int) -> tuple[dict, set]:
+    """The records of the truncation start and of each smaller one not shown unsettled, and the ones shown.
+
+    start is solved (_parity_solve); each smaller schedule entry, largest
+    first, is shown unsettled from the smallest solved truncation above it
+    (_shown_unsettled), or solved when that fails.  Raises what those
+    solves raise.
+    """
+    solved: dict = {}
+    unsettled: set = set()
+    source = None
+    n_max = start
+    while n_max >= FOCK_SCHEDULE_START:
+        candidate = replace(p, n_max=n_max)
+        sectors = sector_hamiltonians(candidate)
+        if source is not None and _shown_unsettled(candidate, sectors, *source):
+            unsettled.add(n_max)
+        else:
+            solved[n_max] = grounds = _parity_solve(sectors)
+            shifts = [ground.energy - 2.0 * RESIDUAL_TOL * _row_sum_norm(block) for ground, (_, block) in zip(grounds, sectors)]
+            source = (grounds, shifts)
+        n_max //= 2
+        del sectors  # freed before the next truncation's blocks are built
+    return solved, unsettled
+
+
 def _converged_ground(p: DickeParams) -> GroundStateReport:
     """Ground state at a converged Fock truncation.
 
@@ -830,30 +953,59 @@ def _converged_ground(p: DickeParams) -> GroundStateReport:
     above the even one) and reported from its lower record; the doubled
     one that tests a candidate is first refined from the candidate's own
     records (_refinement_accepts), and solved exactly only when that does
-    not show acceptance.  So the rows are those of exact solves throughout,
-    under the gap condition _refinement_accepts assumes and but for a
-    SolverConvergenceError the exact solve of a refined truncation would
-    have raised.
+    not show acceptance.
+
+    Before the walk, the start, p.n_max rounded down to the schedule and
+    capped at FOCK_SCHEDULE_CAP, is solved, and each smaller truncation is
+    shown unsettled from the records of the smallest solved one above it,
+    or solved when that fails (_start_records).  The walk then skips the
+    truncations shown unsettled, whose solves would have been rejected
+    for their top-layer weight and used for nothing else, and takes the
+    solved ones' records; where a candidate's doubled truncation was
+    solved, that solve decides instead of a refinement.  The certificate
+    assumes only ground_state's contract: a unit vector with residual at
+    most RESIDUAL_TOL ||B|| and an energy at most that much above the
+    lowest level (_unsettled_bound).  Should the start or a solve below it
+    raise SolverConvergenceError or DimensionError, the start is dropped
+    and the walk runs from FOCK_SCHEDULE_START alone.  So the rows are
+    those of exact solves throughout, whatever the start, under the gap
+    condition _refinement_accepts assumes and but for a
+    SolverConvergenceError that the exact solve of a refined truncation,
+    or of one shown unsettled, would have raised.
     """
     _require_spin_matrices(p)  # before any solve, not after the first
     if p.rwa:
         return _excitation_report(p)
+    start = FOCK_SCHEDULE_START
+    while 2 * start <= min(p.n_max, FOCK_SCHEDULE_CAP):
+        start *= 2
+    try:
+        solved, unsettled = _start_records(p, start)
+    except (SolverConvergenceError, DimensionError):  # the plain walk decides whether the row fails
+        solved, unsettled = {}, set()
     previous: GroundStateReport | None = None
     grounds: list = []
     n_max = FOCK_SCHEDULE_START
     while n_max <= FOCK_SCHEDULE_CAP:
+        if n_max in unsettled:
+            previous = None  # so the next truncation verifies nothing
+            n_max *= 2
+            continue
         candidate = replace(p, n_max=n_max)
-        sectors = sector_hamiltonians(candidate)
         settled = previous is not None and previous.top_fock_population < TOP_POPULATION_TOL
-        if settled and _refinement_accepts(candidate, sectors, grounds, previous.photon_fraction):
-            return previous
-        grounds = _parity_solve(sectors)
+        if n_max in solved:
+            grounds = solved[n_max]
+        else:
+            sectors = sector_hamiltonians(candidate)
+            if settled and _refinement_accepts(candidate, sectors, grounds, previous.photon_fraction):
+                return previous
+            grounds = _parity_solve(sectors)
+            del sectors  # freed before the next truncation's blocks are built
         report = min(grounds, key=operator.attrgetter("energy")).report(candidate)
         if settled and abs(report.photon_fraction - previous.photon_fraction) < FRACTION_TOL:
             return previous
         previous = report
         n_max *= 2
-        del sectors  # freed before the next truncation's blocks are built
     raise FockTruncationError(
         f"no Fock truncation up to {FOCK_SCHEDULE_CAP} met the convergence criteria "
         f"(fom {p.figure_of_merit:.3g}, N {p.n_atoms})"
@@ -868,6 +1020,7 @@ def _scan_one(template: DickeParams, fom: float) -> ScanRow:
             omega=template.omega,
             omega_a=template.omega_a,
             rwa=template.rwa,
+            n_max=template.n_max,
         )
         report = _converged_ground(p)
     except (SolverConvergenceError, FockTruncationError, DimensionError) as exc:
@@ -882,6 +1035,16 @@ def _scan_one(template: DickeParams, fom: float) -> ScanRow:
         sx2_fraction=report.sx2_fraction,
         parity=report.parity_expectation,
     )
+
+
+def _scan_rows(template: DickeParams, foms) -> list[ScanRow]:
+    """_scan_one of consecutive grid points, each walk starting at the truncation the row before reported."""
+    rows = []
+    for fom in foms:
+        rows.append(_scan_one(template, fom))
+        if rows[-1].n_max is not None:
+            template = replace(template, n_max=rows[-1].n_max)
+    return rows
 
 
 def _openblas_thread_controls() -> tuple:
@@ -939,8 +1102,11 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     """Converged ground-state observables over a figure-of-merit grid.
 
     Rows are ordered by the figure of merit; each grid point converges its
-    own Fock truncation, so rows are independent and may run in parallel
-    (assembly order is fixed by the grid, not by completion).  At most
+    own Fock truncation, and its walk starts at the truncation the row
+    before it reported (_scan_rows), the first at FOCK_SCHEDULE_START, the
+    template's n_max not being read.  Rows do not depend on their starts,
+    so they may run in parallel (assembly order is fixed by the grid, not
+    by completion), in pairs of neighbouring points.  At most
     min(max_workers, grid points, CPUs) worker processes start, forked so
     that they inherit the loaded modules; where fork is unavailable the
     grid runs serially.  Every scan runs with loaded OpenBLAS libraries
@@ -950,6 +1116,7 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
     max_workers = _require_count("worker count", max_workers)
     grid = sorted(_require("fom grid value", f, "figure of merit") for f in fom_grid)
     workers = min(max_workers, len(grid), os.cpu_count() or 1)
+    template = replace(template, n_max=FOCK_SCHEDULE_START)
     if not template.rwa:
         # ARPACK's solver maps scipy's OpenBLAS; load it before the budget looks for libraries
         import scipy.sparse.linalg  # noqa: F401
@@ -961,10 +1128,12 @@ def scan_coupling(template: DickeParams, fom_grid, max_workers: int = 1) -> list
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                    # neighbouring points in pairs: half the round trips, and
-                    # the costly high-F end of the grid still splits between workers
-                    return list(pool.map(functools.partial(_scan_one, template), grid, chunksize=2))
-        return [_scan_one(template, f) for f in grid]
+                    # neighbouring points in pairs: half the round trips, the second
+                    # point starts where the first stopped, and the costly high-F end
+                    # of the grid still splits between workers
+                    pairs = pool.map(functools.partial(_scan_rows, template), [grid[i : i + 2] for i in range(0, len(grid), 2)])
+                    return [row for pair in pairs for row in pair]
+        return _scan_rows(template, grid)
 
 
 def crossing_estimate(rows: list[ScanRow], threshold: float = 0.05) -> float | None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, seed, settings, strategies as st
 
-from dipolegauge import polarization
-from dipolegauge.cli import main
+from dipolegauge import cli, polarization
+from dipolegauge.cli import build_parser, main
 from dipolegauge.coupling import default_species_registry
 from dipolegauge.polarization import radial_envelope
 from conftest import ACCEPTED_ON_A_ROUNDING
@@ -64,15 +65,6 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def rejected_by_parser(capsys, argv):
-    """Exit code and stderr of an argument the parser refuses."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    return exc.value.code, captured.err
-
-
 class TestCutoffWindow:
     def test_ratio_for_half_inverse_bohr(self, capsys):
         code, out, _ = run_cli(capsys, ["cutoff-window", "--kM-inv-bohr", "0.5", "--species", "H"])
@@ -105,9 +97,9 @@ class TestCutoffWindow:
         assert "cutoff" in err
 
     def test_infinite_radiation_wavenumber_exits_2(self, capsys):
-        code, err = rejected_by_parser(capsys, ["cutoff-window", "--kM", "1e10", "--k-radiation", "inf"])
-        assert code == 2
-        assert "finite" in err
+        code, out, err = run_cli(capsys, ["cutoff-window", "--kM", "1e10", "--k-radiation", "inf"])
+        assert (code, out) == (2, "")
+        assert err == "dipolegauge: invalid input: --k-radiation must be a finite number, got 'inf'\n"
 
     def test_radiation_wavenumber_above_limit_exits_2(self, capsys):
         # k_radiation^2 would overflow: refused with one line instead of an OverflowError traceback
@@ -291,9 +283,9 @@ class TestPolarization:
         assert "nothing to compute" in err
 
     def test_nan_distance_exits_2(self, capsys):
-        code, err = rejected_by_parser(capsys, ["polarization", "--kM", "1e10", "--r", "nan", "--envelope"])
-        assert code == 2
-        assert "finite" in err
+        code, out, err = run_cli(capsys, ["polarization", "--kM", "1e10", "--r", "nan", "--envelope"])
+        assert (code, out) == (2, "")
+        assert err == "dipolegauge: invalid input: --r must be a finite number, got 'nan'\n"
 
     def test_non_finite_result_is_not_emitted(self, capsys, monkeypatch):
         # no accepted input gives a non-finite kernel any more, so one is planted: it is not valid JSON
@@ -465,15 +457,15 @@ def test_usage_refusal_is_one_invalid_input_line(capsys, argv, message):
 
 
 # negative values in exponent or list form, and -inf, -infinity and -nan in any case, which argparse
-# alone reads as options; the last stderr line of the refusal, from the library or from the parser's
-# finite-float check, or None for a valid call
+# alone reads as options; the refusal's one stderr line, from the library or from the float
+# options' finite check, or None for a valid call
 NEGATIVE_OMEGA = ["dicke-scan", "--N", "4", "--F", "1", "--omega-A", "1"]
 NEGATIVE_VALUES = [
     (["polarization", "--kM", "1e10"], "--kernel", "-0.5,0,0", None),
     (NEGATIVE_OMEGA, "--omega", "-1e-05", "dipolegauge: invalid input: omega must be from 1e-30 to 1e+50 rad/s, got -1e-05"),
     (["dicke-scan", "--N", "4", "--resonant"], "--F", "-0.5:1:0.5", "dipolegauge: invalid input: fom grid value must be 0 or from 1e-40 to 1e+40, got -0.5"),
     *[
-        (NEGATIVE_OMEGA, "--omega", value, f"dipolegauge dicke-scan: error: argument --omega: expected a finite number, got {value!r}")
+        (NEGATIVE_OMEGA, "--omega", value, f"dipolegauge: invalid input: --omega must be a finite number, got {value!r}")
         for value in ("-inf", "-NaN", "-Infinity", "-INF")
     ],
 ]
@@ -485,17 +477,39 @@ NEGATIVE_VALUES = [
 )
 def test_negative_value_reaches_the_library(capsys, argv, flag, value, message, two_tokens):
     argv = [*argv, *([flag, value] if two_tokens else [f"{flag}={value}"])]
+    code, out, err = run_cli(capsys, argv)
     if message is None:
-        code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["x_m"] == [-0.5, 0.0, 0.0]
-    elif message.startswith("dipolegauge: invalid input: "):
-        code, out, err = run_cli(capsys, argv)
+    else:
         assert (code, out) == (2, "")
         assert err.splitlines() == [message]
-    else:
-        code, err = rejected_by_parser(capsys, argv)
-        assert code == 2 and err.splitlines()[-1] == message
+
+
+def float_options():
+    """(subcommand, flag) of every float option of the parser."""
+    (subcommands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0])
+        for name, parser in subcommands.choices.items()
+        for action in parser._actions
+        if isinstance(action, cli._FiniteFloat)
+    ]
+
+
+def test_float_options_found():
+    assert len(float_options()) == 15 and ("dicke-scan", "--omega-A") in float_options()
+
+
+# the refusal comes while the option is read, before the parser checks for required options
+@pytest.mark.parametrize("two_tokens", [True, False], ids=["flag-value", "flag=value"])
+@pytest.mark.parametrize("value", ["-inf", "inf", "nan", "1e999", "abc", "1,5", ""])
+@pytest.mark.parametrize("command, flag", float_options())
+def test_non_finite_float_option_is_one_invalid_input_line(capsys, command, flag, value, two_tokens):
+    argv = [command, *([flag, value] if two_tokens else [f"{flag}={value}"])]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"dipolegauge: invalid input: {flag} must be a finite number, got {value!r}\n"
 
 
 class TestDeterminism:

@@ -879,10 +879,12 @@ class TestRefinement:
         monkeypatch.setattr(dicke, "ground_state", counting_solve)
         assert dicke._converged_ground(p) == expected
         assert refused and all(refused)
-        # ARPACK solved the even sector, ceil(D/2) of its D states, of every truncation, the last
-        # included; each odd sector was shown to lie above it and skipped
+        # ARPACK solved the even sector, ceil(D/2) of its D states, of every truncation from the
+        # start, p.n_max = 16, the last included; 8 was shown unsettled from the start's record, and
+        # each odd sector was shown to lie above the even one and skipped
         tried = tried_truncations(expected.converged_n_max)
-        assert solved == [((n + 1) * (p.n_atoms + 1) + 1) // 2 for n in tried]
+        assert p.n_max == tried[1]
+        assert solved == [((n + 1) * (p.n_atoms + 1) + 1) // 2 for n in tried[1:]]
 
     # omega_A/omega from 1e-2 to 1e2, where the walk also fails (N = 12 at F = 8, ratio 10, and F = 2, ratio 100):
     # both walks must fail alike
@@ -1015,6 +1017,136 @@ class TestOddSectorCertificate:
         assert len(grounds) == 2 and abs(odd - even) < 2.0 * sum(eps)
         assert dicke._refinement_accepts(p, sectors, grounds, fraction)
         assert not dicke._refinement_accepts(p, sectors, grounds[:1], fraction)
+
+
+def walk_outcome(walk, p):
+    """repr of a walk's report at p with the flag parity_walk never sets cleared, and the flag; or its error."""
+    try:
+        report = walk(p)
+    except (SolverConvergenceError, FockTruncationError, DimensionError) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return repr(replace(report, near_degenerate=False)), report.near_degenerate
+
+
+SCHEDULE = [dicke.FOCK_SCHEDULE_START * 2**i for i in range(7)]  # 8 ... 512, FOCK_SCHEDULE_CAP
+
+
+def two_state_sector(delta):
+    """B = [[-1, c], [c, 0]], its top layer the second state, with lambda_1(B') - lambda_1(B) = delta.
+
+    B' = [-1], and lambda_1 = -1/2 - sqrt(1/4 + c^2) = -1 - delta for c^2 = delta (1 + delta).
+    The ground vector's top weight is delta/(1 + 2 delta).
+    """
+    c = math.sqrt(delta * (1.0 + delta))
+    return sparse.csr_matrix(np.array([[-1.0, c], [c, 0.0]]))
+
+
+def unsettled_bound_from_ground(block):
+    """_unsettled_bound of a sector, iterated from its own ground vector with a shift below it."""
+    values, vectors = np.linalg.eigh(block.toarray())
+    return dicke._unsettled_bound(block, block.shape[0] - 1, vectors[:, 0], values[0] - 1e-3)
+
+
+class TestStart:
+    # omega_A/omega from 1e-2 to 1e2; every start of the schedule, the first being the walk without
+    # one, and a drawn start, rounded down to the schedule and capped
+    @given(
+        st.integers(min_value=1, max_value=12),
+        strong_foms,
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.integers(min_value=1, max_value=1100),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_the_walk_that_solves_every_truncation_at_every_start(self, n_atoms, fom, log_ratio, drawn):
+        p = DickeParams.from_figure_of_merit(n_atoms, fom, 1.0, 10.0**log_ratio)
+        (found,) = {walk_outcome(dicke._converged_ground, replace(p, n_max=start)) for start in [*SCHEDULE, drawn]}
+        assert found[0] == walk_outcome(parity_walk, p)[0]
+
+    def test_sector_below_the_threshold_not_shown_unsettled(self):
+        # the ground vector's top weight just below TOP_POPULATION_TOL, and just above it; without
+        # the tau (|d_max| + ||B||) term of Delta the first would be shown unsettled
+        below = two_state_sector(dicke.TOP_POPULATION_TOL * (1.0 - 1e-3))
+        above = two_state_sector(dicke.TOP_POPULATION_TOL * 1.05)
+        assert np.linalg.eigh(below.toarray())[1][1, 0] ** 2 < dicke.TOP_POPULATION_TOL
+        assert unsettled_bound_from_ground(below) is None
+        assert unsettled_bound_from_ground(above) is not None
+
+    @pytest.mark.parametrize("side, shown", [(-0.5, False), (0.5, True)])
+    def test_floor_is_the_stated_one(self, side, shown):
+        # lambda_1(B') half an eps below and above the floor rho + eps + Delta, rho = lambda_1(B) to
+        # rounding (about 1e-15 here): dropping the eps from Delta, or the one added to rho, shows the first
+        tau = dicke.TOP_POPULATION_TOL * (1.0 + 2.0**-20)
+        delta = dicke.TOP_POPULATION_TOL
+        for _ in range(4):  # the norm depends on delta through c
+            norm = dicke._row_sum_norm(two_state_sector(delta))
+            eps = dicke.RESIDUAL_TOL * norm
+            delta = eps + (tau * (norm + eps) + eps) / (1.0 - tau) + side * eps  # |d_max| = 0
+        block = two_state_sector(delta)
+        bound = unsettled_bound_from_ground(block)
+        assert (bound is not None) == shown
+        if shown:
+            lowest = np.linalg.eigvalsh(block.toarray())[0]
+            assert 0.0 <= bound - (lowest + eps) <= 1e-14
+
+    def test_odd_sector_within_the_window_not_shown_unsettled(self):
+        # N = 16, F = 2.5: at n_max 16 both sectors are shown unsettled from the doublet's records at
+        # 64; from the even record alone they are not, as the odd level lies 8.2e-8 above the even
+        # one, within the window (4.3e-7) though above eps_even (4.3e-9), so either may be reported
+        p = params(n_atoms=16, fom=2.5, n_max=16)
+        larger = sector_hamiltonians(replace(p, n_max=64))
+        grounds = dicke._parity_solve(larger)
+        shifts = [
+            ground.energy - 2.0 * dicke.RESIDUAL_TOL * dicke._row_sum_norm(block) for ground, (_, block) in zip(grounds, larger)
+        ]
+        sectors = sector_hamiltonians(p)
+        even, odd = (np.linalg.eigvalsh(block.toarray())[0] for _, block in sectors)
+        window = dicke.NEAR_DEGENERACY_FACTOR * max(dicke._row_sum_norm(block) for _, block in sectors)
+        assert len(grounds) == 2 and dicke.RESIDUAL_TOL * dicke._row_sum_norm(sectors[0][1]) < odd - even < window
+        assert dicke._shown_unsettled(p, sectors, grounds, shifts)
+        assert not dicke._shown_unsettled(p, sectors, grounds[:1], shifts[:1])
+
+    @pytest.mark.parametrize("failing", ["start solve", "second solve", "start build"])
+    def test_failed_start_leaves_the_walk_without_one(self, monkeypatch, failing):
+        # a failure the start brings is dropped with the start: the row is that of the walk from 8
+        p = params(n_atoms=8, fom=1.5, n_max=8)
+        expected = dicke._converged_ground(p)
+        start = replace(p, n_max=256)
+        solve, solved = dicke.ground_state, []
+
+        def failing_solve(h, *args, **kwargs):
+            solved.append(h.shape[0])
+            if failing != "start build" and len(solved) == (1 if failing == "start solve" else 2):
+                raise SolverConvergenceError("forced failure", 1.0)
+            return solve(h, *args, **kwargs)
+
+        monkeypatch.setattr(dicke, "ground_state", failing_solve)
+        if failing == "second solve":  # so the downward pass solves 128 after 256
+            monkeypatch.setattr(dicke, "_shown_unsettled", lambda *args: False)
+        if failing == "start build":
+            monkeypatch.setattr(dicke, "DEFAULT_DIMENSION_CAP", start.dimension - 1)
+        assert dicke._converged_ground(start) == expected
+        even = {n: ((n + 1) * (p.n_atoms + 1) + 1) // 2 for n in (8, 128, 256)}  # even sector sizes
+        # the truncations solved up to the walk's first, 8; 128 only when nothing is shown unsettled
+        tried = {"start solve": [256, 8], "second solve": [256, 128, 8], "start build": [8]}[failing]
+        assert solved[: solved.index(even[8]) + 1] == [even[n] for n in tried]
+
+    def test_levels_shown_unsettled_are_unsettled(self, monkeypatch):
+        # every truncation the scan shows unsettled reports a top-layer weight past the threshold
+        shown, check = [], dicke._shown_unsettled
+
+        def recording(p, *args):
+            found = check(p, *args)
+            if found:
+                shown.append(p)
+            return found
+
+        monkeypatch.setattr(dicke, "_shown_unsettled", recording)
+        template = DickeParams(n_atoms=16, omega=1.0, omega_a=1.0, g_collective=0.0)
+        scan_coupling(template, [round(0.1 * i, 10) for i in range(26)])
+        assert len(shown) > 20
+        for p in shown:
+            report = sectored_ground(p).report(p)
+            assert report.top_fock_population >= dicke.TOP_POPULATION_TOL
 
 
 @pytest.fixture(scope="module")
@@ -1153,6 +1285,18 @@ class TestScan:
             template = DickeParams(n_atoms=12, omega=1.0, omega_a=1.0, g_collective=0.0, rwa=rwa)
             serial = scan_coupling(template, grid) if rwa else rows
             assert scan_coupling(template, grid, max_workers=4) == serial
+
+    @needs_fork
+    def test_carried_starts_cross_pool_chunks(self, monkeypatch):
+        # N = 24 on the acceptance grid: n_max steps 8 -> 16 -> 32 -> 64, so a pair's second row
+        # starts where its first stopped, and the next pair starts at 8 again
+        monkeypatch.setattr(dicke.os, "cpu_count", lambda: 2)
+        template = DickeParams(n_atoms=24, omega=1.0, omega_a=1.0, g_collective=0.0)
+        grid = [round(0.1 * i, 10) for i in range(26)]
+        serial = scan_coupling(template, grid)
+        assert sorted({row.n_max for row in serial}) == [8, 16, 32, 64]
+        assert repr(scan_coupling(template, grid, max_workers=2)) == repr(serial)
+        assert repr([row for fom in grid for row in scan_coupling(template, [fom])]) == repr(serial)
 
     @pytest.mark.parametrize(
         "max_workers, grid_size, threads",
